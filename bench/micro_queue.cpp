@@ -1,13 +1,12 @@
-// Throughput micro-benchmark of the two filter-inbox implementations
-// (fs/queue.hpp BoundedQueue vs fs/mpmc_queue.hpp MpmcQueue): P producers
-// and C consumers hammer one queue; the row metric is items through the
-// queue per wall second. Emits h4d-bench-metrics-v1 (figure "bench_queue")
-// with `--json FILE`, which is committed as BENCH_queue.json and gated by
-// tools/check_bench.py — the PR's acceptance bar is mpmc >= 2x locked at
-// 4p/4c on the committed configuration.
+// Throughput micro-benchmark of the filter-inbox queue (fs/queue.hpp
+// BoundedQueue): P producers and C consumers hammer one queue; the row
+// metric is items through the queue per wall second. Emits
+// h4d-bench-metrics-v1 (figure "bench_queue") with `--json FILE`, which is
+// committed as BENCH_queue.json; tools/check_bench.py --fresh bounds a new
+// run against it.
 //
 // Plain wall-time harness (no google-benchmark): one measurement is a whole
-// produce/close/drain cycle, so thread start/park/wake costs are inside the
+// produce/close/drain cycle, so thread start/block/wake costs are inside the
 // clock — exactly the costs the executor pays per buffer hand-off.
 #include <atomic>
 #include <chrono>
@@ -18,7 +17,6 @@
 #include <thread>
 #include <vector>
 
-#include "fs/mpmc_queue.hpp"
 #include "fs/queue.hpp"
 #include "micro_common.hpp"
 
@@ -37,9 +35,8 @@ constexpr int kRepeats = 5;
 
 /// One full cycle: start P+C threads, push P*items, close, drain. Returns
 /// wall seconds from the moment every thread is released to the last join.
-template <typename Q>
 double one_cycle(const Shape& shape, std::uint64_t items_per_producer) {
-  Q q(kCapacity);
+  fs::BoundedQueue<std::uint64_t> q(kCapacity);
   std::atomic<bool> go{false};
   std::atomic<std::uint64_t> popped{0};
 
@@ -80,16 +77,15 @@ double one_cycle(const Shape& shape, std::uint64_t items_per_producer) {
   return sec;
 }
 
-template <typename Q>
-MicroRun bench_impl(std::string_view impl, const Shape& shape) {
+MicroRun bench_shape(const Shape& shape) {
   double best = 1e300;
   for (int r = 0; r < kRepeats; ++r) {
-    best = std::min(best, one_cycle<Q>(shape, kItemsPerProducer));
+    best = std::min(best, one_cycle(shape, kItemsPerProducer));
   }
   const double items =
       static_cast<double>(shape.producers) * static_cast<double>(kItemsPerProducer);
   MicroRun run;
-  run.label = "queue_" + std::string(impl) + "/" + std::to_string(shape.producers) +
+  run.label = "queue_locked/" + std::to_string(shape.producers) +
               "p" + std::to_string(shape.consumers) + "c_cap" +
               std::to_string(kCapacity);
   run.metrics = {
@@ -108,14 +104,9 @@ MicroRun bench_impl(std::string_view impl, const Shape& shape) {
 
 int main(int argc, char** argv) {
   using namespace h4d::bench;
-  using h4d::fs::BoundedQueue;
-  using h4d::fs::MpmcQueue;
 
   std::vector<MicroRun> runs;
-  for (const Shape& shape : kShapes) {
-    runs.push_back(bench_impl<BoundedQueue<std::uint64_t>>("locked", shape));
-    runs.push_back(bench_impl<MpmcQueue<std::uint64_t>>("mpmc", shape));
-  }
+  for (const Shape& shape : kShapes) runs.push_back(bench_shape(shape));
 
   for (const MicroRun& r : runs) {
     std::cout << r.label << ": " << r.metrics[0].second / 1e6 << " Mops/s ("

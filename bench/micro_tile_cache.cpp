@@ -95,8 +95,7 @@ int main(int argc, char** argv) {
   // concurrent jobs over the same dataset.
   cfg.tile_cache = std::make_shared<io::TileCache>(cfg.cache);
 
-  std::cout << "tile cache: " << (cfg.cache.budget_bytes >> 20) << " MiB, "
-            << io::cache_policy_name(cfg.cache.policy) << ", prefetch depth "
+  std::cout << "tile cache: " << (cfg.cache.budget_bytes >> 20) << " MiB, prefetch depth "
             << cfg.cache.prefetch_depth << "\n";
   std::vector<bench::MicroRun> runs;
   runs.push_back(run_row("reanalysis_cold", cfg));

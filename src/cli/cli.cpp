@@ -3,10 +3,13 @@
 #include <charconv>
 #include <chrono>
 #include <cmath>
+#include <initializer_list>
 #include <map>
 #include <ostream>
+#include <span>
 #include <sstream>
 #include <string>
+#include <string_view>
 #include <thread>
 #include <vector>
 
@@ -32,6 +35,9 @@ namespace h4d::cli {
 
 namespace {
 
+/// One group of --key names a verb accepts (without the leading dashes).
+using OptionGroup = std::span<const std::string_view>;
+
 /// Minimal option parser: --key value pairs plus positional arguments.
 class Args {
  public:
@@ -48,6 +54,22 @@ class Args {
   }
 
   const std::vector<std::string>& positional() const { return positional_; }
+
+  /// Fail when an option is in none of `groups`: a typo or a removed flag
+  /// must not run silently with defaults. Called before the verb does any
+  /// work, so options a verb reads only in some cases are still accepted.
+  void reject_unknown(const std::string& verb,
+                      std::initializer_list<OptionGroup> groups) const {
+    std::string unknown;
+    for (const auto& [key, value] : options_) {
+      bool known = false;
+      for (const OptionGroup g : groups) {
+        known = known || std::find(g.begin(), g.end(), key) != g.end();
+      }
+      if (!known) unknown += (unknown.empty() ? "--" : ", --") + key;
+    }
+    if (!unknown.empty()) throw std::runtime_error(verb + ": unknown option " + unknown);
+  }
 
   std::string get(const std::string& key, const std::string& fallback) const {
     const auto it = options_.find(key);
@@ -111,6 +133,36 @@ class Args {
   std::map<std::string, std::string> options_;
   std::vector<std::string> positional_;
 };
+
+// The options each verb accepts, in groups that mirror the *_from_args
+// helpers below. tools/check_links.py --flags checks that every option an
+// Args accessor reads is listed here.
+constexpr std::string_view kPipelineOptions[] = {
+    // engine_from_args
+    "roi", "levels", "features", "repr", "dirs", "sliding", "sweep",
+    // pipeline_from_args: layout, resilience, checkpoint
+    "chunk", "variant", "workers", "plan", "faults", "on-corrupt", "retry", "checksums",
+    "fill", "dead-nodes", "checkpoint", "resume",
+    // cache_config_from_args, tail_config_from_args
+    "tile-cache-mb", "tile-shape", "prefetch-depth", "read-deadline-ms", "hedge-pct",
+    "hedge-max-inflight"};
+constexpr std::string_view kSuperviseOptions[] = {"supervise", "max-restarts", "poison",
+                                                  "watchdog-ms"};
+constexpr std::string_view kExportOptions[] = {"trace", "metrics"};
+constexpr std::string_view kSimOptions[] = {"sim-failures"};
+constexpr std::string_view kServiceOptions[] = {
+    "mode", "job-workers", "admit-cap", "tenant-pending", "tenant-running",
+    "degrade-watermark", "ckpt-dir", "jobs-metrics"};
+constexpr std::string_view kServeOptions[] = {
+    "jobs", "tenants", "seed", "arrival-ms", "deadline-pct", "deadline-ms", "job-retries",
+    "est-ms"};
+constexpr std::string_view kPhantomOptions[] = {"out", "dims", "tumors", "seed", "nodes",
+                                                "replicas"};
+constexpr std::string_view kImportOptions[] = {"out", "nodes", "replicas"};
+constexpr std::string_view kOutOptions[] = {"out"};
+constexpr std::string_view kJobsOptions[] = {"file"};
+constexpr std::string_view kScrubOptions[] = {"json"};
+constexpr std::string_view kRepairOptions[] = {"add-checksums"};
 
 haralick::EngineConfig engine_from_args(const Args& args) {
   haralick::EngineConfig engine;
@@ -195,7 +247,7 @@ int cmd_info(const Args& args, std::ostream& out) {
 /// Tile-cache knobs shared by analyze/simulate/serve/jobs: --tile-cache-mb
 /// sets the budget (0 = off), --tile-shape W,H the tile extents,
 /// --prefetch-depth how many slices the raster-order prefetcher may run
-/// ahead, --cache-policy the eviction policy.
+/// ahead.
 io::TileCacheConfig cache_config_from_args(const Args& args) {
   io::TileCacheConfig cache;
   cache.budget_bytes =
@@ -209,7 +261,6 @@ io::TileCacheConfig cache_config_from_args(const Args& args) {
     cache.tile_h = shape[1];
   }
   cache.prefetch_depth = args.get_int("prefetch-depth", cache.prefetch_depth);
-  cache.policy = io::cache_policy_from_name(args.get("cache-policy", "lru"));
   return cache;
 }
 
@@ -348,7 +399,7 @@ void finish_observability(const Args& args, const fs::RunStats& stats,
     const double rate = c.lookups > 0
                             ? static_cast<double>(c.hits) / static_cast<double>(c.lookups)
                             : 0.0;
-    out << "cache: " << c.policy << ", " << c.budget_bytes / (1024 * 1024) << " MiB, "
+    out << "cache: " << c.budget_bytes / (1024 * 1024) << " MiB, "
         << c.hits << "/" << c.lookups << " hits (" << static_cast<int>(rate * 100)
         << "%), " << c.bytes_served_cache / 1024 << " KiB served, "
         << c.bytes_read_disk / 1024 << " KiB from disk, prefetch "
@@ -390,7 +441,6 @@ int cmd_analyze(const Args& args, std::ostream& out) {
   fs::TraceRecorder trace;
   fs::ThreadedOptions topt;
   if (args.has("trace")) topt.trace = &trace;
-  topt.queue = fs::queue_impl_from_name(args.get("queue", "locked"));
   topt.supervise = supervisor_from_args(args);
   const core::AnalysisResult result = core::analyze_threaded(cfg, topt);
   out << "analyzed " << dataset << " in " << result.stats.total_seconds << "s wall, "
@@ -541,7 +591,7 @@ int finish_service(const Args& args, const svc::ServiceStats& stats, std::ostrea
   }
   if (stats.cache.present) {
     const fs::CacheReport& cr = stats.cache;
-    out << "cache: " << cr.policy << ", " << cr.budget_bytes / (1024 * 1024) << " MiB, "
+    out << "cache: " << cr.budget_bytes / (1024 * 1024) << " MiB, "
         << cr.hits << "/" << cr.lookups << " hits, " << cr.bytes_served_cache / 1024
         << " KiB served, " << cr.evictions << " evictions, "
         << cr.resident_bytes / 1024 << " KiB resident\n";
@@ -576,7 +626,6 @@ int cmd_serve(const Args& args, std::ostream& out) {
   wl.est_scale = args.get_int("est-ms", 0) / 1000.0;
   wl.simulate = args.get("mode", "threaded") == "sim";
   wl.base.config = pipeline_from_args(args, dataset);
-  wl.base.threaded.queue = fs::queue_impl_from_name(args.get("queue", "locked"));
   wl.base.threaded.supervise = supervisor_from_args(args);
   if (wl.simulate) {
     const io::DatasetMeta meta = io::DatasetMeta::load(dataset);
@@ -663,7 +712,6 @@ int cmd_jobs(const Args& args, std::ostream& out) {
 
   svc::JobSpec base;
   base.config = pipeline_from_args(args, dataset);
-  base.threaded.queue = fs::queue_impl_from_name(args.get("queue", "locked"));
   base.threaded.supervise = supervisor_from_args(args);
   const bool any_sim = args.get("mode", "threaded") == "sim";
   if (any_sim) {
@@ -725,13 +773,13 @@ int usage(std::ostream& err) {
          "           [--supervise fail|restart|quarantine] [--max-restarts N]\n"
          "           [--poison N] [--watchdog-ms N]\n"
          "           [--checkpoint FILE] [--resume on|off]\n"
-         "           [--queue locked|mpmc]\n"
          "           [--tile-cache-mb N] [--tile-shape W,H]\n"
-         "           [--prefetch-depth N] [--cache-policy lru|clock|cost]\n"
+         "           [--prefetch-depth N]\n"
          "           [--read-deadline-ms auto|N] [--hedge-pct P]\n"
          "           [--hedge-max-inflight N]\n"
          "           [--trace FILE] [--metrics FILE]\n"
-         "  simulate DATASET_DIR [same options as analyze] [--sim-failures SPEC]\n"
+         "  simulate DATASET_DIR [analyze options except --out and --supervise\n"
+         "           and its knobs] [--sim-failures SPEC]\n"
          "  serve    DATASET_DIR [--jobs N] [--tenants N] [--seed S]\n"
          "           [--arrival-ms N] [--deadline-pct P] [--deadline-ms N]\n"
          "           [--job-retries N] [--est-ms N] [--mode threaded|sim]\n"
@@ -810,15 +858,6 @@ int usage(std::ostream& err) {
          "                      ~3% slower, for cross-checking reference\n"
          "                      values bit-for-bit)\n"
          "\n"
-         "runtime (see DESIGN.md sec. 13):\n"
-         "  --queue MODE        inbox implementation between filter copies:\n"
-         "                      locked (default, mutex+condvar) | mpmc\n"
-         "                      (lock-free array queue with per-slot sequence\n"
-         "                      numbers and a parking layer); identical\n"
-         "                      semantics and byte-identical maps, the chosen\n"
-         "                      impl and stall counters land in the metrics\n"
-         "                      \"execution\" section\n"
-         "\n"
          "tile cache (see docs/CACHE.md):\n"
          "  --tile-cache-mb N   memory budget of the shared out-of-core tile\n"
          "                      cache between the readers and the slice files\n"
@@ -831,9 +870,6 @@ int usage(std::ostream& err) {
          "  --prefetch-depth N  slices the raster-order prefetcher may run\n"
          "                      ahead of the demand loop (0 = no prefetch;\n"
          "                      default 2; off under --faults)\n"
-         "  --cache-policy P    eviction policy: lru (default) | clock |\n"
-         "                      cost (weighs refetch cost: failover /\n"
-         "                      degraded-replica tiles are kept longer)\n"
          "\n"
          "tail-tolerant I/O (see docs/TAIL.md):\n"
          "  --read-deadline-ms D  per-read deadline on verified slice reads:\n"
@@ -896,15 +932,45 @@ int run(int argc, const char* const* argv, std::ostream& out, std::ostream& err)
   const std::string cmd = argv[1];
   try {
     const Args args(argc, argv, 2);
-    if (cmd == "phantom") return cmd_phantom(args, out);
-    if (cmd == "import") return cmd_import(args, out);
-    if (cmd == "info") return cmd_info(args, out);
-    if (cmd == "analyze") return cmd_analyze(args, out);
-    if (cmd == "simulate") return cmd_simulate(args, out);
-    if (cmd == "serve") return cmd_serve(args, out);
-    if (cmd == "jobs") return cmd_jobs(args, out);
-    if (cmd == "scrub") return cmd_scrub(args, out);
-    if (cmd == "repair") return cmd_repair(args, out);
+    if (cmd == "phantom") {
+      args.reject_unknown(cmd, {kPhantomOptions});
+      return cmd_phantom(args, out);
+    }
+    if (cmd == "import") {
+      args.reject_unknown(cmd, {kImportOptions});
+      return cmd_import(args, out);
+    }
+    if (cmd == "info") {
+      args.reject_unknown(cmd, {});
+      return cmd_info(args, out);
+    }
+    if (cmd == "analyze") {
+      args.reject_unknown(cmd, {kPipelineOptions, kSuperviseOptions, kExportOptions,
+                                kOutOptions});
+      return cmd_analyze(args, out);
+    }
+    if (cmd == "simulate") {
+      args.reject_unknown(cmd, {kPipelineOptions, kExportOptions, kSimOptions});
+      return cmd_simulate(args, out);
+    }
+    if (cmd == "serve") {
+      args.reject_unknown(cmd, {kPipelineOptions, kSuperviseOptions, kServiceOptions,
+                                kServeOptions, kSimOptions});
+      return cmd_serve(args, out);
+    }
+    if (cmd == "jobs") {
+      args.reject_unknown(cmd, {kPipelineOptions, kSuperviseOptions, kServiceOptions,
+                                kJobsOptions});
+      return cmd_jobs(args, out);
+    }
+    if (cmd == "scrub") {
+      args.reject_unknown(cmd, {kScrubOptions});
+      return cmd_scrub(args, out);
+    }
+    if (cmd == "repair") {
+      args.reject_unknown(cmd, {kRepairOptions});
+      return cmd_repair(args, out);
+    }
     err << "unknown command: " << cmd << "\n";
     return usage(err);
   } catch (const std::exception& e) {

@@ -29,7 +29,6 @@ void fill_cache_report(fs::RunStats& stats, const filters::ParamsPtr& params) {
   fs::CacheReport& c = stats.cache;
   c.present = true;
   const io::TileCacheConfig& cfg = params->cache;
-  c.policy = std::string(io::cache_policy_name(cfg.policy));
   c.budget_bytes = static_cast<std::int64_t>(cfg.budget_bytes);
   c.tile_w = cfg.tile_w;
   c.tile_h = cfg.tile_h;

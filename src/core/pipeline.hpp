@@ -83,7 +83,7 @@ struct PipelineConfig {
   std::string job_tag;
 
   /// Shared out-of-core tile cache between the RFR readers and the slice
-  /// files (--tile-cache-mb/--tile-shape/--prefetch-depth/--cache-policy).
+  /// files (--tile-cache-mb/--tile-shape/--prefetch-depth).
   /// A zero budget disables it. When `tile_cache` is set (service layer /
   /// bench harnesses), that process-wide instance is used instead of a
   /// private one — except under fault injection, where the run always gets

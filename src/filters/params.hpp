@@ -87,8 +87,8 @@ struct PipelineParams {
   std::shared_ptr<io::ChunkManifest> manifest;
   std::shared_ptr<io::ChunkCompletionTracker> completion;
 
-  /// Tile-cache knobs (--tile-cache-mb/--tile-shape/--prefetch-depth/
-  /// --cache-policy). Disabled (budget 0) => no cache.
+  /// Tile-cache knobs (--tile-cache-mb/--tile-shape/--prefetch-depth).
+  /// Disabled (budget 0) => no cache.
   io::TileCacheConfig cache;
   /// The cache instance the RFR readers go through. The service layer hands
   /// every job the process-wide shared instance; make() builds a private one
@@ -222,8 +222,9 @@ struct PipelineParams {
   }
 
   /// Ownership token for the checkpoint manifest: CRC-32 over everything
-  /// that determines chunk-id meaning (dataset, chunk grid, feature set)
-  /// plus the job tag. Two runs share a manifest iff their tokens match.
+  /// that determines chunk-id meaning (dataset, chunk grid) or the values a
+  /// chunk's output holds (every engine field that changes them), plus the
+  /// job tag. Two runs share a manifest iff their tokens match.
   std::string checkpoint_owner_token() const {
     std::ostringstream s;
     s << dataset_root.string();
@@ -231,6 +232,13 @@ struct PipelineParams {
     for (int d = 0; d < kDims; ++d) s << '/' << engine.roi_dims[d];
     for (int d = 0; d < kDims; ++d) s << '/' << texture_chunk[d];
     s << '/' << engine.num_levels << '/' << engine.features.mask();
+    for (const Vec4& dir : engine.effective_directions()) {
+      for (int d = 0; d < kDims; ++d) s << (d == 0 ? '/' : ',') << dir[d];
+    }
+    s << '/' << static_cast<int>(engine.direction_mode) << '/'
+      << static_cast<int>(engine.representation) << '/'
+      << static_cast<int>(engine.sweep_mode) << '/' << static_cast<int>(engine.zero_policy)
+      << '/' << engine.sliding_window;
     if (!job_tag.empty()) s << '/' << job_tag;
     const std::string canon = s.str();
     std::ostringstream hex;

@@ -10,7 +10,6 @@
 #include <thread>
 #include <tuple>
 
-#include "fs/mpmc_queue.hpp"
 #include "fs/queue.hpp"
 #include "fs/trace.hpp"
 
@@ -52,7 +51,7 @@ struct CopyRuntime {
   int copy = 0;
   int node = 0;
   std::unique_ptr<Filter> filter;
-  std::unique_ptr<QueueInterface<Envelope>> inbox;
+  std::unique_ptr<BoundedQueue<Envelope>> inbox;
   int expected_eos = 0;
   CopyStats stats;
 
@@ -286,7 +285,7 @@ RunStats run_threaded(const FilterGraph& graph, const ThreadedOptions& options) 
       rt->copy = c;
       rt->node = filters[f].node_of_copy(c);
       rt->filter = filters[f].factory();
-      rt->inbox = make_queue<Envelope>(options.queue, options.queue_capacity);
+      rt->inbox = std::make_unique<BoundedQueue<Envelope>>(options.queue_capacity);
       rt->stats.filter = filters[f].name;
       rt->stats.copy = c;
       rt->stats.node = rt->node;
@@ -640,7 +639,6 @@ RunStats run_threaded(const FilterGraph& graph, const ThreadedOptions& options) 
   RunStats out;
   out.total_seconds = seconds_since(t0, Clock::now());
   out.exec = shared.report;
-  out.exec.queue_impl = std::string(queue_impl_name(options.queue));
   std::size_t idx = 0;
   for (auto& group : copies) {
     for (auto& c : group) {

@@ -6,7 +6,6 @@
 #include <atomic>
 
 #include "fs/graph.hpp"
-#include "fs/queue.hpp"
 
 namespace h4d::fs {
 
@@ -15,10 +14,6 @@ class TraceRecorder;
 struct ThreadedOptions {
   /// Stream depth in buffers; push blocks when full (backpressure).
   std::size_t queue_capacity = 64;
-  /// Inbox implementation: the mutex+condvar reference queue or the
-  /// lock-free MPMC fast path (fs/mpmc_queue.hpp). Semantics are identical;
-  /// only the blocking/handoff machinery differs (--queue, DESIGN §13).
-  QueueImpl queue = QueueImpl::Locked;
   /// When set, filter-copy activity spans and buffer handoffs are recorded
   /// (wall time since run start). Must outlive run_threaded().
   TraceRecorder* trace = nullptr;

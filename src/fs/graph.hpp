@@ -113,7 +113,6 @@ struct CopyStats {
 /// prefetch_useful <= prefetch_issued.
 struct CacheReport {
   bool present = false;
-  std::string policy;               ///< "lru" / "clock" / "cost"
   std::int64_t budget_bytes = 0;
   std::int64_t tile_w = 0;
   std::int64_t tile_h = 0;

@@ -202,9 +202,8 @@ void write_metrics_object(std::ostream& os, const RunStats& stats,
      << ", \"buffers_lost\": " << stats.exec.buffers_lost
      << ", \"chunks_resumed\": " << stats.exec.chunks_resumed
      << ", \"replica_failovers\": " << stats.exec.replica_failovers
-     << ", \"nodes_evicted\": " << stats.exec.nodes_evicted << ", \"queue_impl\": ";
-  jstr(os, stats.exec.queue_impl);
-  os << ", \"queue_stalled_pushes\": " << stats.exec.queue_stalled_pushes
+     << ", \"nodes_evicted\": " << stats.exec.nodes_evicted
+     << ", \"queue_stalled_pushes\": " << stats.exec.queue_stalled_pushes
      << ", \"queue_stall_seconds\": ";
   jnum(os, stats.exec.queue_stall_seconds);
   os << ", \"queue_max_depth\": " << stats.exec.queue_max_depth
@@ -235,9 +234,7 @@ void write_metrics_object(std::ostream& os, const RunStats& stats,
   os << "]}";
   if (stats.cache.present) {
     const CacheReport& c = stats.cache;
-    os << ",\n \"cache\": {\"policy\": ";
-    jstr(os, c.policy);
-    os << ", \"budget_bytes\": " << c.budget_bytes << ", \"tile_w\": " << c.tile_w
+    os << ",\n \"cache\": {\"budget_bytes\": " << c.budget_bytes << ", \"tile_w\": " << c.tile_w
        << ", \"tile_h\": " << c.tile_h << ", \"prefetch_depth\": " << c.prefetch_depth
        << ", \"lookups\": " << c.lookups << ", \"hits\": " << c.hits
        << ", \"misses\": " << c.misses << ", \"bytes_read_disk\": " << c.bytes_read_disk

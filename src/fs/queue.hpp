@@ -1,15 +1,8 @@
-// Bounded multi-producer multi-consumer queues used for filter inboxes in the
-// threaded executor. Blocking push gives natural backpressure on streams; the
-// queue records how often and for how long producers were held back, which
-// the observability layer surfaces as enqueue-stall time (see
-// docs/OBSERVABILITY.md).
-//
-// Two implementations share one contract (selected per run with --queue):
-//   * BoundedQueue (this file)     — mutex + condvar, the reference;
-//   * MpmcQueue (fs/mpmc_queue.hpp) — lock-free array-based fast path with a
-//     condvar parking layer for the blocked paths (DESIGN §13).
-// QueueInterface is the type-erased view the executor holds, so every
-// close/EOS/watchdog path behaves identically regardless of implementation.
+// Bounded multi-producer multi-consumer queue (mutex + condvar) used for
+// filter inboxes in the threaded executor. Blocking push gives natural
+// backpressure on streams; the queue records how often and for how long
+// producers were held back, which the observability layer surfaces as
+// enqueue-stall time (see docs/OBSERVABILITY.md and DESIGN §13).
 #pragma once
 
 #include <algorithm>
@@ -19,15 +12,11 @@
 #include <deque>
 #include <mutex>
 #include <optional>
-#include <stdexcept>
-#include <string>
-#include <string_view>
 
 namespace h4d::fs {
 
-/// Lifetime counters of one queue. BoundedQueue maintains them under its
-/// lock; MpmcQueue via relaxed atomics — either way stats() returns a
-/// consistent-enough snapshot for end-of-run reporting.
+/// Lifetime counters of one queue, maintained under its lock; stats()
+/// returns a snapshot for end-of-run reporting.
 struct QueueStats {
   std::size_t max_depth = 0;        ///< high-water mark of queued items
   std::int64_t stalled_pushes = 0;  ///< pushes that found the queue full
@@ -41,46 +30,7 @@ enum class PushOutcome {
   Timeout,  ///< still full after the timeout — caller decides what's next
 };
 
-/// Which queue implementation a run's inboxes use (--queue=locked|mpmc).
-enum class QueueImpl {
-  Locked,  ///< BoundedQueue: mutex + condvar (default)
-  Mpmc,    ///< MpmcQueue: lock-free slot protocol + parking layer
-};
-
-inline std::string_view queue_impl_name(QueueImpl impl) {
-  switch (impl) {
-    case QueueImpl::Locked:
-      return "locked";
-    case QueueImpl::Mpmc:
-      return "mpmc";
-  }
-  return "?";
-}
-
-inline QueueImpl queue_impl_from_name(const std::string& name) {
-  if (name == "locked") return QueueImpl::Locked;
-  if (name == "mpmc") return QueueImpl::Mpmc;
-  throw std::runtime_error("unknown queue implementation: " + name +
-                           " (expected locked|mpmc)");
-}
-
-/// Times one producer stall. Both queue implementations route their stall
-/// accounting through this helper so `stalled_pushes`/`stall_seconds` mean
-/// exactly the same thing under --queue=locked and --queue=mpmc.
-class StallTimer {
- public:
-  StallTimer() : t0_(std::chrono::steady_clock::now()) {}
-  double seconds() const {
-    return std::chrono::duration<double>(std::chrono::steady_clock::now() - t0_)
-        .count();
-  }
-
- private:
-  std::chrono::steady_clock::time_point t0_;
-};
-
-/// The queue contract the threaded executor programs against. Semantics
-/// (shared by every implementation):
+/// Contract:
 ///   * push() blocks while full, fails (false) once closed;
 ///   * push_for() waits at most `timeout`, reporting Ok/Closed/Timeout;
 ///     `count_stall` lets a retry loop count one stall across many slices
@@ -89,26 +39,8 @@ class StallTimer {
 ///   * pop() blocks while empty; after close() it drains the remaining
 ///     items, then returns nullopt.
 template <typename T>
-class QueueInterface {
- public:
-  virtual ~QueueInterface() = default;
-  virtual bool push(T item) = 0;
-  virtual PushOutcome push_for(T item, std::chrono::nanoseconds timeout,
-                               bool count_stall) = 0;
-  virtual std::optional<T> try_pop() = 0;
-  virtual std::optional<T> pop() = 0;
-  virtual void close() = 0;
-  virtual std::size_t size() const = 0;
-  virtual std::size_t capacity() const = 0;
-  virtual QueueStats stats() const = 0;
-  virtual QueueImpl impl() const = 0;
-};
-
-template <typename T>
 class BoundedQueue {
  public:
-  static constexpr QueueImpl kImpl = QueueImpl::Locked;
-
   explicit BoundedQueue(std::size_t capacity = 64) : capacity_(capacity ? capacity : 1) {}
 
   /// Blocks while full; returns false when the queue was closed.
@@ -196,17 +128,18 @@ class BoundedQueue {
  private:
   /// The stall-timing block shared by push() and push_for(): when the queue
   /// is full (and open), count the stall once if asked, run the caller's
-  /// wait, and account the whole waited time. Factored so both paths — and,
-  /// via StallTimer, both queue implementations — report stalls identically.
+  /// wait, and account the whole waited time. Factored so both paths report
+  /// stalls identically.
   template <typename WaitFn>
   void wait_while_full(std::unique_lock<std::mutex>& lk, bool count_stall,
                        WaitFn&& wait) {
     (void)lk;  // held by the caller; the wait runs under it
     if (items_.size() < capacity_ || closed_) return;
     if (count_stall) stats_.stalled_pushes++;
-    const StallTimer timer;
+    const auto t0 = std::chrono::steady_clock::now();
     wait();
-    stats_.stall_seconds += timer.seconds();
+    stats_.stall_seconds +=
+        std::chrono::duration<double>(std::chrono::steady_clock::now() - t0).count();
   }
 
   const std::size_t capacity_;
@@ -216,31 +149,6 @@ class BoundedQueue {
   std::deque<T> items_;
   QueueStats stats_;
   bool closed_ = false;
-};
-
-/// Adapts a concrete queue (BoundedQueue, MpmcQueue) to QueueInterface. The
-/// concrete classes stay virtual-free so tests and benchmarks can exercise
-/// them directly; the executor pays one indirect call per queue operation.
-template <typename T, typename Q>
-class QueueAdapter final : public QueueInterface<T> {
- public:
-  explicit QueueAdapter(std::size_t capacity) : q_(capacity) {}
-
-  bool push(T item) override { return q_.push(std::move(item)); }
-  PushOutcome push_for(T item, std::chrono::nanoseconds timeout,
-                       bool count_stall) override {
-    return q_.push_for(std::move(item), timeout, count_stall);
-  }
-  std::optional<T> try_pop() override { return q_.try_pop(); }
-  std::optional<T> pop() override { return q_.pop(); }
-  void close() override { q_.close(); }
-  std::size_t size() const override { return q_.size(); }
-  std::size_t capacity() const override { return q_.capacity(); }
-  QueueStats stats() const override { return q_.stats(); }
-  QueueImpl impl() const override { return Q::kImpl; }
-
- private:
-  Q q_;
 };
 
 }  // namespace h4d::fs

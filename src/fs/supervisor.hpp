@@ -120,9 +120,8 @@ struct ExecutionReport {
   std::vector<QuarantinedBuffer> quarantined;  ///< exact dropped buffers
   std::vector<CopyIncident> incidents;         ///< per-copy event log
 
-  // --- hot-queue accounting (threaded executor only; "none" under the
+  // --- inbox accounting (threaded executor only; zero under the
   // simulator, which has no bounded inboxes) -----------------------------
-  std::string queue_impl = "none";  ///< locked | mpmc | none (fs/queue.hpp)
   std::int64_t queue_stalled_pushes = 0;  ///< sum over every inbox
   double queue_stall_seconds = 0.0;       ///< sum over every inbox
   std::int64_t queue_max_depth = 0;       ///< max over every inbox
@@ -146,9 +145,7 @@ struct ExecutionReport {
   }
 
   /// Member-wise accumulation of another run's (or job's) report: counters
-  /// add, stall time adds, max depth maxes, inventories concatenate, and
-  /// queue_impl keeps the common value (or degrades to "mixed" when reports
-  /// from differently-configured runs are folded together).
+  /// add, stall time adds, max depth maxes, inventories concatenate.
   ExecutionReport& operator+=(const ExecutionReport& o) {
     std::apply(
         [&](auto&... a) {
@@ -157,13 +154,6 @@ struct ExecutionReport {
         tied_counters(*this));
     queue_stall_seconds += o.queue_stall_seconds;
     queue_max_depth = std::max(queue_max_depth, o.queue_max_depth);
-    if (queue_impl != o.queue_impl) {
-      if (queue_impl == "none") {
-        queue_impl = o.queue_impl;
-      } else if (o.queue_impl != "none") {
-        queue_impl = "mixed";
-      }
-    }
     quarantined.insert(quarantined.end(), o.quarantined.begin(), o.quarantined.end());
     incidents.insert(incidents.end(), o.incidents.begin(), o.incidents.end());
     return *this;
@@ -176,13 +166,12 @@ inline constexpr std::size_t kExecCounterFields = std::tuple_size_v<
 }
 // Every member of ExecutionReport must either appear in tied_counters() or be
 // merged explicitly in operator+= (queue_stall_seconds, queue_max_depth,
-// queue_impl, quarantined, incidents). This pin recomputes sizeof from that
+// quarantined, incidents). This pin recomputes sizeof from that
 // exact member list; if it fires, a field was added without extending the
 // merge — which would silently drop it from aggregated (multi-job) reports.
 static_assert(sizeof(ExecutionReport) ==
                   (detail::kExecCounterFields + 1) * sizeof(std::int64_t) +
-                      sizeof(double) + sizeof(std::string) +
-                      sizeof(std::vector<QuarantinedBuffer>) +
+                      sizeof(double) + sizeof(std::vector<QuarantinedBuffer>) +
                       sizeof(std::vector<CopyIncident>),
               "ExecutionReport field added without extending "
               "tied_counters()/operator+=");

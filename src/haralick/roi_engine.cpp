@@ -57,20 +57,6 @@ std::vector<FeatureBlock> analyze_chunk(Vol4View<const Level> chunk_view,
         "analyze_chunk: sliding_window requires DirectionMode::Pooled");
   }
 
-  // Helper computing the per-ROI feature vector from one matrix.
-  const auto features_of = [&cfg, wc](const Glcm& g) {
-    if (cfg.representation == Representation::Sparse) {
-      const SparseGlcm sparse = SparseGlcm::from_dense(g);
-      if (wc != nullptr) {
-        wc->sparse_entries_emitted += static_cast<std::int64_t>(sparse.nnz());
-        wc->sparse_compress_cells +=
-            static_cast<std::int64_t>(cfg.num_levels) * cfg.num_levels;
-      }
-      return compute_features(sparse, cfg.features, wc);
-    }
-    return compute_features(g, cfg.features, cfg.zero_policy, wc);
-  };
-
   // Kernel working state: the caller's per-thread scratch when given, else a
   // local one for this chunk.
   std::optional<KernelScratch> local_scratch;
@@ -86,8 +72,9 @@ std::vector<FeatureBlock> analyze_chunk(Vol4View<const Level> chunk_view,
   // upper-triangle tile, then either fold to the dense table (Full) or run
   // the fused non-zero sweep which also stands in for the sparse conversion
   // (Sparse). On this (non-sliding) kernel path, SweepMode::Strict is
-  // bit-identical to features_of on a reference-built Glcm (property-tested
-  // in test_kernel); the Fast default agrees to ~1e-10 relative. The
+  // bit-identical to compute_features on a reference-built Glcm /
+  // SparseGlcm (property-tested in test_kernel); the Fast default agrees to
+  // ~1e-10 relative. The
   // sliding branch below finalizes from count-space accumulators instead
   // and matches the reference pass to ~1e-9 in either mode (see
   // sliding.hpp).
@@ -139,7 +126,7 @@ std::vector<FeatureBlock> analyze_chunk(Vol4View<const Level> chunk_view,
         sliding_updates_before = sliding->updates_performed();
         // Finalize from the incrementally maintained count-space
         // accumulators — O(Ng) plus the entropy occupancy scan — instead
-        // of re-walking the matrix through features_of.
+        // of re-walking the matrix through compute_features.
         fv = sliding->features(cfg.features, wc, cfg.sweep_mode);
       } else {
         fv = kernel_features_of_roi(roi, dirs);

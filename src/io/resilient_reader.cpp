@@ -131,13 +131,6 @@ std::int64_t ResilientReader::attempted_bytes_read() const {
   return bytes;
 }
 
-double ResilientReader::replica_cost(int node) const {
-  double cost = 1.0;
-  if (node != reader_.node_id()) cost += 1.0;
-  if (replicas_ && replicas_->node_evicted(node)) cost += 2.0;
-  return cost;
-}
-
 const StorageNodeReader* ResilientReader::reader_for(int node, std::string& error) {
   if (node == reader_.node_id()) return &reader_;
   if (const auto it = fallbacks_.find(node); it != fallbacks_.end()) return &it->second;
@@ -175,7 +168,7 @@ void ResilientReader::extract_rect(const std::uint8_t* slice_bytes, std::int64_t
 
 void ResilientReader::attempt_read(const StorageNodeReader& reader, const SliceRef& slice,
                                    std::int64_t x0, std::int64_t y0, std::int64_t w,
-                                   std::int64_t h, std::uint16_t* out, double cost) {
+                                   std::int64_t h, std::uint16_t* out) {
   const bool verified = cfg_.verify_checksums && slice.has_crc;
   // Whole-slice fetches serve the verified path (the checksum unit) and any
   // cache-eligible read (the cache's fill unit). An unverified read under a
@@ -205,8 +198,7 @@ void ResilientReader::attempt_read(const StorageNodeReader& reader, const SliceR
     // upholds the corrupt-tiles-never-cached contract.
     if (cache_eligible(slice)) {
       cache_->insert_slice(cache_dataset_, reader_.meta(), slice.t, slice.z,
-                           cached_bytes_.data(), cost, /*prefetched=*/false,
-                           cache_tenant_);
+                           cached_bytes_.data(), /*prefetched=*/false, cache_tenant_);
     }
   }
   extract_rect(cached_bytes_.data(), x0, y0, w, h, out);
@@ -362,8 +354,7 @@ bool ResilientReader::hedged_fetch(const SliceRef& slice, const std::vector<int>
     // insert_slice keeps already-resident tiles, so a duplicate fill from a
     // hedge race dedups instead of flapping the cache.
     cache_->insert_slice(cache_dataset_, reader_.meta(), slice.t, slice.z,
-                         cached_bytes_.data(), replica_cost(winner->node),
-                         /*prefetched=*/false, cache_tenant_);
+                         cached_bytes_.data(), /*prefetched=*/false, cache_tenant_);
   }
   if (replicas_) replicas_->note_success(winner->node);
   return true;
@@ -435,8 +426,7 @@ bool ResilientReader::read_slice_region(const SliceRef& slice, std::int64_t x0,
           }
         }
         try {
-          attempt_read(*node_reader, slice, x0, y0, w, h, out,
-                       replica_cost(node) + (attempt > 0 ? 1.0 : 0.0));
+          attempt_read(*node_reader, slice, x0, y0, w, h, out);
           if (attempt > 0) ++report_.slices_recovered;
           if (replicas_) replicas_->note_success(node);
           return true;
@@ -500,7 +490,7 @@ bool ResilientReader::prefetch_slice(const SliceRef& slice) {
       }
       delivered_bytes_ += static_cast<std::int64_t>(nbytes);
       cache_->insert_slice(cache_dataset_, reader_.meta(), slice.t, slice.z, bytes.data(),
-                           replica_cost(node), /*prefetched=*/true, cache_tenant_);
+                           /*prefetched=*/true, cache_tenant_);
       return true;
     } catch (const std::exception&) {
       // Swallowed: the demand path retries with full resilience accounting.

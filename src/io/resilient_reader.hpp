@@ -222,10 +222,9 @@ class ResilientReader {
 
  private:
   /// One verified or plain read attempt through `reader`; throws on failure.
-  /// `cost` is the refetch cost a cache insert records (Cost policy).
   void attempt_read(const StorageNodeReader& reader, const SliceRef& slice,
                     std::int64_t x0, std::int64_t y0, std::int64_t w, std::int64_t h,
-                    std::uint16_t* out, double cost);
+                    std::uint16_t* out);
   void fill(std::int64_t w, std::int64_t h, std::uint16_t* out) const;
   /// Cache participation rule for one slice: whole-slice fills must be
   /// attempt-independent bytes, which holds when they are CRC-verified or
@@ -235,9 +234,6 @@ class ResilientReader {
     return cache_ != nullptr &&
            ((cfg_.verify_checksums && slice.has_crc) || injector_ == nullptr);
   }
-  /// Refetch cost of a read served by `node` (Cost eviction policy input):
-  /// failover and probation-probed replicas are more expensive to re-ask.
-  double replica_cost(int node) const;
   void extract_rect(const std::uint8_t* slice_bytes, std::int64_t x0, std::int64_t y0,
                     std::int64_t w, std::int64_t h, std::uint16_t* out) const;
   /// Reader for one replica node (the wrapped one, or a lazily-built

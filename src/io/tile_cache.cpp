@@ -2,13 +2,10 @@
 
 #include <algorithm>
 #include <cstring>
-#include <stdexcept>
 
 namespace h4d::io {
 
 namespace {
-
-constexpr std::int64_t kCostScanWidth = 8;  ///< cold-end candidates (Cost policy)
 
 std::uint64_t fnv1a(const void* data, std::size_t n, std::uint64_t h) {
   const auto* p = static_cast<const std::uint8_t*>(data);
@@ -20,24 +17,6 @@ std::uint64_t fnv1a(const void* data, std::size_t n, std::uint64_t h) {
 }
 
 }  // namespace
-
-std::string_view cache_policy_name(CachePolicy p) {
-  switch (p) {
-    case CachePolicy::Lru: return "lru";
-    case CachePolicy::Clock: return "clock";
-    case CachePolicy::Cost: return "cost";
-  }
-  return "?";
-}
-
-CachePolicy cache_policy_from_name(const std::string& name) {
-  if (name == "lru") return CachePolicy::Lru;
-  if (name == "clock") return CachePolicy::Clock;
-  if (name == "cost" || name == "cost-aware" || name == "cost_aware") {
-    return CachePolicy::Cost;
-  }
-  throw std::runtime_error("unknown cache policy: " + name + " (want lru|clock|cost)");
-}
 
 std::size_t TileCache::TileKeyHash::operator()(const TileKey& k) const {
   std::uint64_t h = 14695981039346656037ULL;
@@ -115,33 +94,7 @@ void TileCache::evict_entry(Shard& s, std::list<TileKey>::iterator victim) {
 
 void TileCache::make_room(Shard& s, std::int64_t need) {
   while (s.resident + need > shard_budget_ && !s.order.empty()) {
-    auto victim = std::prev(s.order.end());
-    if (cfg_.policy == CachePolicy::Clock) {
-      // Second chance: a referenced tile is spared once (ref cleared, moved
-      // to the hot end); the scan terminates because each step either
-      // evicts or clears one ref bit.
-      while (s.map.at(*victim).ref) {
-        s.map.at(*victim).ref = false;
-        s.order.splice(s.order.begin(), s.order, victim);
-        victim = std::prev(s.order.end());
-      }
-    } else if (cfg_.policy == CachePolicy::Cost) {
-      // Of the coldest few, evict the cheapest to refetch; strict < keeps
-      // the oldest on cost ties, so the order is deterministic.
-      auto best = victim;
-      double best_cost = s.map.at(*best).cost;
-      auto it = victim;
-      for (std::int64_t n = 1; n < kCostScanWidth && it != s.order.begin(); ++n) {
-        --it;
-        const double c = s.map.at(*it).cost;
-        if (c < best_cost) {
-          best = it;
-          best_cost = c;
-        }
-      }
-      victim = best;
-    }
-    evict_entry(s, victim);
+    evict_entry(s, std::prev(s.order.end()));
   }
 }
 
@@ -166,11 +119,7 @@ bool TileCache::read_rect(std::uint64_t dataset, const DatasetMeta& meta, std::i
         return false;
       }
       Entry& e = it->second;
-      if (cfg_.policy == CachePolicy::Clock) {
-        e.ref = true;
-      } else {
-        s.order.splice(s.order.begin(), s.order, e.pos);
-      }
+      s.order.splice(s.order.begin(), s.order, e.pos);
       if (e.prefetched) {
         e.prefetched = false;
         prefetch_useful_.fetch_add(1, std::memory_order_relaxed);
@@ -205,7 +154,7 @@ bool TileCache::read_rect(std::uint64_t dataset, const DatasetMeta& meta, std::i
 
 void TileCache::insert_slice(std::uint64_t dataset, const DatasetMeta& meta,
                              std::int64_t t, std::int64_t z, const std::uint8_t* bytes,
-                             double cost, bool prefetched, int tenant_idx) {
+                             bool prefetched, int tenant_idx) {
   const std::int64_t nx = meta.dims[0], ny = meta.dims[1];
   const std::int64_t tw = cfg_.tile_w, th = cfg_.tile_h;
   const std::size_t esz = dtype_size(meta.dtype);
@@ -229,7 +178,6 @@ void TileCache::insert_slice(std::uint64_t dataset, const DatasetMeta& meta,
       }
       e.ew = ew;
       e.eh = eh;
-      e.cost = cost;
       e.prefetched = prefetched;
       e.tenant = tenant_idx;
       s.order.push_front(key);

@@ -542,7 +542,6 @@ ServiceStats JobManager::snapshot() const {
     const io::TileCacheConfig& cfg = opt_.tile_cache->config();
     const io::TileCacheStats cs = opt_.tile_cache->stats();
     s.cache.present = true;
-    s.cache.policy = std::string(io::cache_policy_name(cfg.policy));
     s.cache.budget_bytes = static_cast<std::int64_t>(cfg.budget_bytes);
     s.cache.tile_w = cfg.tile_w;
     s.cache.tile_h = cfg.tile_h;

@@ -66,9 +66,7 @@ void write_exec(std::ostream& os, const fs::ExecutionReport& e) {
      << ", \"chunks_resumed\": " << e.chunks_resumed
      << ", \"replica_failovers\": " << e.replica_failovers
      << ", \"nodes_evicted\": " << e.nodes_evicted
-     << ", \"queue_impl\": ";
-  jstr(os, e.queue_impl);
-  os << ", \"queue_stalled_pushes\": " << e.queue_stalled_pushes
+     << ", \"queue_stalled_pushes\": " << e.queue_stalled_pushes
      << ", \"queue_stall_seconds\": ";
   jnum(os, e.queue_stall_seconds);
   os << ", \"queue_max_depth\": " << e.queue_max_depth << "}";
@@ -101,9 +99,7 @@ void write_jobs_metrics_object(std::ostream& os, const ServiceStats& stats) {
   write_exec(os, stats.exec);
   if (stats.cache.present) {
     const fs::CacheReport& c = stats.cache;
-    os << ",\n  \"cache\": {\"policy\": ";
-    jstr(os, c.policy);
-    os << ", \"budget_bytes\": " << c.budget_bytes << ", \"tile_w\": " << c.tile_w
+    os << ",\n  \"cache\": {\"budget_bytes\": " << c.budget_bytes << ", \"tile_w\": " << c.tile_w
        << ", \"tile_h\": " << c.tile_h << ", \"prefetch_depth\": " << c.prefetch_depth
        << ", \"lookups\": " << c.lookups << ", \"hits\": " << c.hits
        << ", \"misses\": " << c.misses << ", \"bytes_read_disk\": " << c.bytes_read_disk

@@ -15,6 +15,7 @@
 #include "core/pipeline.hpp"
 #include "filters/payloads.hpp"
 #include "fs/executor_threads.hpp"
+#include "haralick/directions.hpp"
 #include "io/dataset.hpp"
 #include "io/manifest.hpp"
 #include "io/phantom.hpp"
@@ -269,6 +270,52 @@ TEST_F(CheckpointFixture, ResumedRunIsByteIdenticalAndPlansStrictlyFewerChunks) 
     ASSERT_TRUE(resumed.count(slug)) << slug;
     EXPECT_EQ(resumed.at(slug), map) << slug;  // exact float equality
   }
+}
+
+TEST_F(CheckpointFixture, ResumeRefusesManifestOfOtherEngineConfig) {
+  // Chunk ids mean the same thing under any engine setting, so only the
+  // owner token can tell that a manifest recorded different output values.
+  // Resuming across any value-changing engine field must be refused like a
+  // foreign owner, not prune chunks whose outputs hold the old values.
+  io::PhantomConfig pcfg;
+  pcfg.dims = {16, 16, 5, 4};
+  pcfg.seed = 3;
+  const fsys::path ds = root_ / "ds";
+  io::DiskDataset::create(ds, io::generate_phantom(pcfg).volume, 1);
+
+  core::PipelineConfig cfg;
+  cfg.dataset_root = ds;
+  cfg.engine.roi_dims = {5, 5, 3, 3};
+  cfg.engine.num_levels = 8;
+  cfg.texture_chunk = {10, 10, 4, 4};
+  cfg.checkpoint_path = root_ / "ck.txt";
+  { auto params = core::make_params(cfg); }  // stamps the ownership header
+  cfg.resume = true;
+  EXPECT_NO_THROW({ auto p = core::make_params(cfg); });  // the owner resumes
+
+  const auto expect_refused = [&](const char* what, auto&& change) {
+    core::PipelineConfig other = cfg;
+    change(other.engine);
+    try {
+      auto p = core::make_params(other);
+      ADD_FAILURE() << what << ": resume was not refused";
+    } catch (const std::runtime_error& e) {
+      EXPECT_NE(std::string(e.what()).find("belongs to a different job/configuration"),
+                std::string::npos)
+          << what << ": " << e.what();
+    }
+  };
+  using namespace haralick;
+  expect_refused("axis dirs", [](EngineConfig& e) {
+    e.directions = axis_directions(ActiveDims::all4());
+  });
+  expect_refused("direction mode",
+                 [](EngineConfig& e) { e.direction_mode = DirectionMode::MeanOverDirections; });
+  expect_refused("representation",
+                 [](EngineConfig& e) { e.representation = Representation::Sparse; });
+  expect_refused("sweep mode", [](EngineConfig& e) { e.sweep_mode = SweepMode::Strict; });
+  expect_refused("zero policy", [](EngineConfig& e) { e.zero_policy = ZeroPolicy::VisitAll; });
+  expect_refused("sliding window", [](EngineConfig& e) { e.sliding_window = true; });
 }
 
 TEST_F(CheckpointFixture, ResumeWithEmptyManifestPlansEverything) {

@@ -107,23 +107,44 @@ TEST_F(CliTest, SimulateReportsVirtualTime) {
   EXPECT_NE(stdout_text().find("HMP"), std::string::npos);
 }
 
-TEST_F(CliTest, AnalyzeQueueFlagSelectsImplementation) {
+TEST_F(CliTest, UnknownOptionsFailNamingTheOption) {
   const std::string ds = (dir_ / "ds").string();
   ASSERT_EQ(invoke({"phantom", "--out", ds, "--dims", "16,16,6,4", "--nodes", "2"}), 0);
-  const std::string maps = (dir_ / "maps").string();
+  // Removed flags and typos fail before any work instead of running with
+  // defaults; the error names the offending option.
+  for (const std::string opt : {"queue", "cache-policy", "dir"}) {
+    EXPECT_EQ(invoke({"analyze", ds, "--" + opt, "x"}), 1) << opt;
+    EXPECT_NE(stderr_text().find("analyze: unknown option --" + opt), std::string::npos)
+        << stderr_text();
+    EXPECT_EQ(stdout_text(), "") << opt;
+  }
+  // Every unknown option is named, and each verb checks its own set:
+  // simulate never writes maps, info takes no options at all.
+  EXPECT_EQ(invoke({"analyze", ds, "--dir", "axis", "--sweeep", "fast"}), 1);
+  EXPECT_NE(stderr_text().find("--dir, --sweeep"), std::string::npos) << stderr_text();
+  EXPECT_EQ(invoke({"simulate", ds, "--out", "maps"}), 1);
+  EXPECT_NE(stderr_text().find("simulate: unknown option --out"), std::string::npos);
+  EXPECT_EQ(invoke({"info", ds, "--dims", "1,1,1,1"}), 1);
+  EXPECT_NE(stderr_text().find("info: unknown option --dims"), std::string::npos);
+}
+
+TEST_F(CliTest, AnalyzeAcceptsOptionsReadOnlyInSomeCases) {
+  const std::string ds = (dir_ / "ds").string();
+  ASSERT_EQ(invoke({"phantom", "--out", ds, "--dims", "16,16,6,4", "--nodes", "2"}), 0);
   const std::string metrics = (dir_ / "metrics.json").string();
-  EXPECT_EQ(invoke({"analyze", ds, "--out", maps, "--roi", "5,5,3,3", "--workers", "2",
-                    "--dirs", "axis", "--chunk", "12,12,6,4", "--queue", "mpmc",
-                    "--metrics", metrics}),
-            0);
+  // --fill matters only under --on-corrupt skip, --max-restarts only under
+  // --supervise restart, --plan only for the split variant: all accepted.
+  EXPECT_EQ(invoke({"analyze", ds, "--roi", "5,5,3,3", "--workers", "2", "--dirs", "axis",
+                    "--chunk", "12,12,6,4", "--on-corrupt", "fail", "--fill", "7",
+                    "--supervise", "fail", "--max-restarts", "5", "--variant", "hmp",
+                    "--plan", "auto", "--metrics", metrics}),
+            0)
+      << stderr_text();
   std::ifstream in(metrics);
   const std::string text((std::istreambuf_iterator<char>(in)),
                          std::istreambuf_iterator<char>());
-  EXPECT_NE(text.find("\"queue_impl\": \"mpmc\""), std::string::npos);
   EXPECT_NE(text.find("\"queue_max_depth\""), std::string::npos);
-
-  EXPECT_EQ(invoke({"analyze", ds, "--roi", "5,5,3,3", "--queue", "bogus"}), 1);
-  EXPECT_NE(stderr_text().find("unknown queue implementation"), std::string::npos);
+  EXPECT_NE(text.find("\"queue_stalled_pushes\""), std::string::npos);
 }
 
 TEST_F(CliTest, AnalyzeSweepFlagSelectsMode) {

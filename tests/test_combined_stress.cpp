@@ -1,7 +1,7 @@
 // Combined-mode stress: every hardened subsystem armed at once.
 //
 // Each robustness feature was proven alone; this file proves they compose:
-//   * threaded executor: --queue mpmc + --supervise restart + injected
+//   * threaded executor: narrow inboxes + --supervise restart + injected
 //     filter crashes + injected storage faults, simultaneously, with
 //     byte-identical output to a clean run and a clean shutdown (the TSan CI
 //     tier runs this binary);
@@ -31,13 +31,13 @@ using testing::FlakyState;
 using testing::NumberSource;
 using testing::SinkState;
 
-// --- toy graph: mpmc + restart supervision + crashes under load ------------
+// --- toy graph: narrow inboxes + restart supervision + crashes under load --
 
-TEST(CombinedStress, MpmcQueueSurvivesRestartSupervisionUnderLoad) {
-  // Many items through narrow lock-free inboxes while copies keep crashing
-  // and restarting: the handoff machinery (parking, slot sequencing) and the
-  // supervisor's rebuild path must compose without losing or duplicating a
-  // single buffer. Data races here are what the TSan tier exists to catch.
+TEST(CombinedStress, InboxesSurviveRestartSupervisionUnderLoad) {
+  // Many items through narrow inboxes while copies keep crashing and
+  // restarting: the blocking handoffs and the supervisor's rebuild path
+  // must compose without losing or duplicating a single buffer. Data races
+  // here are what the TSan tier exists to catch.
   constexpr int kItems = 400;
   auto state = std::make_shared<SinkState>();
   auto flaky = std::make_shared<FlakyState>();
@@ -60,8 +60,7 @@ TEST(CombinedStress, MpmcQueueSurvivesRestartSupervisionUnderLoad) {
   g.connect(mid, 0, sink, Policy::DemandDriven);
 
   ThreadedOptions opt;
-  opt.queue = QueueImpl::Mpmc;
-  opt.queue_capacity = 2;  // maximum backpressure through the fast path
+  opt.queue_capacity = 2;  // maximum backpressure
   opt.supervise.policy = SupervisePolicy::RestartCopy;
   opt.supervise.max_restarts = static_cast<int>(crash_on.size()) + 4;
   const RunStats stats = run_threaded(g, opt);
@@ -70,7 +69,6 @@ TEST(CombinedStress, MpmcQueueSurvivesRestartSupervisionUnderLoad) {
   EXPECT_EQ(state->sum(), static_cast<std::int64_t>(kItems) * (kItems - 1) / 2);
   EXPECT_EQ(stats.exec.copy_restarts, static_cast<std::int64_t>(crash_on.size()));
   EXPECT_EQ(stats.exec.buffers_lost, 0);
-  EXPECT_EQ(stats.exec.queue_impl, "mpmc");
 }
 
 // --- real pipeline: all modes combined ------------------------------------
@@ -126,7 +124,7 @@ TEST_F(CombinedPipelineFixture, ThreadedAllModesByteIdenticalToCleanRun) {
   const std::uint32_t want = maps_crc(clean);
   ASSERT_NE(want, 0u);
 
-  // Everything at once: lock-free inboxes, restart supervision, a watchdog,
+  // Everything at once: narrow inboxes, restart supervision, a watchdog,
   // and deterministic storage faults absorbed by the resilient read path.
   core::PipelineConfig cfg = config();
   cfg.faults.seed = 23;
@@ -137,7 +135,6 @@ TEST_F(CombinedPipelineFixture, ThreadedAllModesByteIdenticalToCleanRun) {
   cfg.resilience.retry.max_attempts = 8;
 
   ThreadedOptions opt;
-  opt.queue = QueueImpl::Mpmc;
   opt.queue_capacity = 4;
   opt.supervise.policy = SupervisePolicy::RestartCopy;
   opt.supervise.max_restarts = 8;
@@ -147,7 +144,6 @@ TEST_F(CombinedPipelineFixture, ThreadedAllModesByteIdenticalToCleanRun) {
   EXPECT_EQ(maps_crc(stressed), want);
   EXPECT_GT(stressed.faults.read_retries, 0);  // the faults really fired
   EXPECT_EQ(stressed.stats.exec.watchdog_kills, 0);
-  EXPECT_EQ(stressed.stats.exec.queue_impl, "mpmc");
   EXPECT_EQ(stressed.stats.exec.buffers_lost, 0);
 }
 

@@ -122,33 +122,6 @@ TEST_F(E2EFixture, RoundRobinChunkPolicyMatchesReference) {
   expect_matches_reference(analyze_threaded(cfg));
 }
 
-TEST_F(E2EFixture, MpmcQueueProducesByteIdenticalMaps) {
-  // --queue selects the inbox machinery, not the computation: on the paper
-  // phantom config the mpmc run must reproduce the locked run bit for bit,
-  // and both runs must report which implementation they used.
-  PipelineConfig cfg = base_config(2);
-  cfg.variant = Variant::Split;
-  cfg.engine.representation = Representation::Sparse;
-  cfg.hcc_copies = 3;
-  cfg.hpc_copies = 2;
-
-  fs::ThreadedOptions locked_opt;
-  locked_opt.queue = fs::QueueImpl::Locked;
-  fs::ThreadedOptions mpmc_opt;
-  mpmc_opt.queue = fs::QueueImpl::Mpmc;
-
-  const AnalysisResult locked = analyze_threaded(cfg, locked_opt);
-  const AnalysisResult mpmc = analyze_threaded(cfg, mpmc_opt);
-
-  EXPECT_EQ(locked.stats.exec.queue_impl, "locked");
-  EXPECT_EQ(mpmc.stats.exec.queue_impl, "mpmc");
-  ASSERT_EQ(mpmc.maps.size(), locked.maps.size());
-  for (const auto& [f, map] : locked.maps) {
-    ASSERT_EQ(mpmc.maps.at(f).storage(), map.storage()) << haralick::feature_name(f);
-  }
-  expect_matches_reference(mpmc);
-}
-
 TEST_F(E2EFixture, SimulatedRunProducesIdenticalMaps) {
   PipelineConfig cfg = base_config(2);
   cfg.variant = Variant::Split;

@@ -1,21 +1,16 @@
-// Contract tests for the filter-inbox queues. The whole suite is typed over
-// both implementations (BoundedQueue and MpmcQueue) — the executor selects
-// one per run (--queue), so anything asserted here is asserted for both.
-// The heavy concurrency schedules live in test_queue_stress.cpp; this file
-// pins the single-threaded semantics, the blocking/unblocking edges, the
-// stats accounting, and (at the bottom) a trace-equivalence property test
-// that replays random op traces against both queues side by side.
+// Contract tests for the filter-inbox queue (BoundedQueue). The heavy
+// concurrency schedules live in test_queue_stress.cpp; this file pins the
+// single-threaded semantics, the blocking/unblocking edges, and the stats
+// accounting. The suite is typed over the queue class (named "locked" in
+// test ids, after its mutex + condvar design).
 #include "fs/queue.hpp"
 
 #include <gtest/gtest.h>
 
 #include <atomic>
-#include <random>
 #include <string>
 #include <thread>
 #include <vector>
-
-#include "fs/mpmc_queue.hpp"
 
 namespace h4d::fs {
 namespace {
@@ -26,11 +21,11 @@ class QueueContract : public ::testing::Test {};
 struct ImplName {
   template <typename Q>
   static std::string GetName(int) {
-    return std::string(queue_impl_name(Q::kImpl));
+    return "locked";
   }
 };
 
-using Impls = ::testing::Types<BoundedQueue<int>, MpmcQueue<int>>;
+using Impls = ::testing::Types<BoundedQueue<int>>;
 TYPED_TEST_SUITE(QueueContract, Impls, ImplName);
 
 TYPED_TEST(QueueContract, FifoOrder) {
@@ -283,113 +278,6 @@ TYPED_TEST(QueueContract, TryPopIsNonBlockingAndFreesASlot) {
 
   q.close();
   EXPECT_EQ(q.try_pop(), std::nullopt);  // closed and drained
-}
-
-// --- factory / adapter ----------------------------------------------------
-
-TEST(MakeQueue, BuildsTheSelectedImplementation) {
-  auto locked = make_queue<int>(QueueImpl::Locked, 4);
-  auto mpmc = make_queue<int>(QueueImpl::Mpmc, 4);
-  EXPECT_EQ(locked->impl(), QueueImpl::Locked);
-  EXPECT_EQ(mpmc->impl(), QueueImpl::Mpmc);
-  for (QueueInterface<int>* q : {locked.get(), mpmc.get()}) {
-    EXPECT_EQ(q->capacity(), 4u);
-    EXPECT_TRUE(q->push(1));
-    EXPECT_EQ(q->push_for(2, std::chrono::milliseconds(1), true), PushOutcome::Ok);
-    EXPECT_EQ(q->pop(), 1);
-    EXPECT_EQ(q->try_pop(), 2);
-    q->close();
-    EXPECT_FALSE(q->push(3));
-    EXPECT_EQ(q->pop(), std::nullopt);
-  }
-}
-
-TEST(QueueImplNames, RoundTripAndErrors) {
-  EXPECT_EQ(queue_impl_name(QueueImpl::Locked), "locked");
-  EXPECT_EQ(queue_impl_name(QueueImpl::Mpmc), "mpmc");
-  EXPECT_EQ(queue_impl_from_name("locked"), QueueImpl::Locked);
-  EXPECT_EQ(queue_impl_from_name("mpmc"), QueueImpl::Mpmc);
-  EXPECT_THROW(queue_impl_from_name("lockfree"), std::runtime_error);
-}
-
-// --- trace equivalence property -------------------------------------------
-//
-// Both implementations must be observationally identical for any
-// single-threaded op trace: same PushOutcome sequence, same popped values,
-// same sizes, same stalled_pushes/max_depth accounting. (stall_seconds is
-// wall time and excluded.) Traces avoid ops that would block forever in one
-// thread: blocking push only when the queue has room or is closed, pop only
-// when non-empty or closed; timed pushes use a tiny timeout so a full queue
-// reports Timeout instead of hanging.
-
-enum class Op { Push, PushFor, PushForNoStall, TryPop, Pop, Close, Size };
-
-template <typename Q>
-std::string step(Q& q, Op op, int value) {
-  switch (op) {
-    case Op::Push:
-      return q.push(value) ? "push:ok" : "push:closed";
-    case Op::PushFor:
-    case Op::PushForNoStall: {
-      const PushOutcome r = q.push_for(value, std::chrono::microseconds(50),
-                                       op == Op::PushFor);
-      return r == PushOutcome::Ok       ? "push_for:ok"
-             : r == PushOutcome::Closed ? "push_for:closed"
-                                        : "push_for:timeout";
-    }
-    case Op::TryPop: {
-      auto v = q.try_pop();
-      return v ? "try_pop:" + std::to_string(*v) : "try_pop:none";
-    }
-    case Op::Pop: {
-      auto v = q.pop();
-      return v ? "pop:" + std::to_string(*v) : "pop:none";
-    }
-    case Op::Close:
-      q.close();
-      return "close";
-    case Op::Size:
-      return "size:" + std::to_string(q.size());
-  }
-  return "?";
-}
-
-TEST(QueueTraceEquivalence, RandomTracesMatchAcrossImplementations) {
-  for (unsigned seed = 1; seed <= 50; ++seed) {
-    std::mt19937 rng(seed * 48271u);
-    const std::size_t capacity = 1 + rng() % 6;
-    BoundedQueue<int> locked(capacity);
-    MpmcQueue<int> mpmc(capacity);
-    SCOPED_TRACE("seed " + std::to_string(seed) + " capacity " +
-                 std::to_string(capacity));
-
-    bool closed = false;
-    std::size_t depth = 0;  // tracked to keep blocking ops from hanging
-    int next_value = 0;
-    for (int i = 0; i < 200; ++i) {
-      Op op = static_cast<Op>(rng() % 7);
-      if (op == Op::Push && depth >= capacity && !closed) op = Op::PushFor;
-      if (op == Op::Pop && depth == 0 && !closed) op = Op::TryPop;
-      const int value = next_value++;
-
-      const std::string a = step(locked, op, value);
-      const std::string b = step(mpmc, op, value);
-      EXPECT_EQ(a, b) << "op " << i << " diverged";
-      if (a != b) return;
-
-      if (op == Op::Close) closed = true;
-      if ((op == Op::Push || op == Op::PushFor || op == Op::PushForNoStall) &&
-          a.ends_with(":ok")) {
-        depth++;
-      }
-      if ((op == Op::TryPop || op == Op::Pop) && !a.ends_with(":none")) depth--;
-    }
-
-    const QueueStats sa = locked.stats();
-    const QueueStats sb = mpmc.stats();
-    EXPECT_EQ(sa.max_depth, sb.max_depth);
-    EXPECT_EQ(sa.stalled_pushes, sb.stalled_pushes);
-  }
 }
 
 }  // namespace

@@ -1,5 +1,5 @@
-// Shared out-of-core tile cache: budget enforcement, deterministic eviction
-// per policy, corrupt-slice exclusion under fault injection, byte-identity
+// Shared out-of-core tile cache: budget enforcement, deterministic LRU
+// eviction, corrupt-slice exclusion under fault injection, byte-identity
 // of cached runs, and a concurrent stress (TSan tier).
 #include "io/tile_cache.hpp"
 
@@ -46,16 +46,6 @@ std::vector<std::uint8_t> make_slice(const DatasetMeta& meta, std::int64_t t,
   return bytes;
 }
 
-TEST(TileCacheConfig, PolicyNamesRoundTrip) {
-  EXPECT_EQ(cache_policy_from_name("lru"), CachePolicy::Lru);
-  EXPECT_EQ(cache_policy_from_name("clock"), CachePolicy::Clock);
-  EXPECT_EQ(cache_policy_from_name("cost"), CachePolicy::Cost);
-  EXPECT_EQ(cache_policy_name(CachePolicy::Lru), "lru");
-  EXPECT_EQ(cache_policy_name(CachePolicy::Clock), "clock");
-  EXPECT_EQ(cache_policy_name(CachePolicy::Cost), "cost");
-  EXPECT_THROW(cache_policy_from_name("mru"), std::runtime_error);
-}
-
 TEST(TileCache, ServesExactBytesOnFullHitAndCountsProbes) {
   const DatasetMeta meta = make_meta(32, 24, 2, 2);
   TileCacheConfig cfg;
@@ -75,7 +65,7 @@ TEST(TileCache, ServesExactBytesOnFullHitAndCountsProbes) {
   EXPECT_EQ(s0.bytes_served, 0);
 
   const auto bytes = make_slice(meta, 0, 0);
-  cache.insert_slice(ds, meta, 0, 0, bytes.data(), 1.0, false, tenant);
+  cache.insert_slice(ds, meta, 0, 0, bytes.data(), false, tenant);
   EXPECT_TRUE(cache.slice_fully_cached(ds, meta, 0, 0));
   EXPECT_FALSE(cache.slice_fully_cached(ds, meta, 0, 1));
 
@@ -118,7 +108,7 @@ TEST(TileCache, BudgetIsEnforcedAndEvictionsCounted) {
   for (std::int64_t t = 0; t < 4; ++t)
     for (std::int64_t z = 0; z < 8; ++z) {
       const auto bytes = make_slice(meta, t, z);
-      cache.insert_slice(ds, meta, t, z, bytes.data(), 1.0, false, tenant);
+      cache.insert_slice(ds, meta, t, z, bytes.data(), false, tenant);
       EXPECT_LE(cache.resident_bytes(), cfg.budget_bytes);
     }
   const TileCacheStats s = cache.stats();
@@ -135,30 +125,28 @@ TEST(TileCache, BudgetIsEnforcedAndEvictionsCounted) {
   tiny.shards = 1;
   TileCache small(tiny);
   const auto bytes = make_slice(big, 0, 0);
-  small.insert_slice(TileCache::dataset_key("/y", big), big, 0, 0, bytes.data(), 1.0,
-                     false, small.tenant_id(""));
+  small.insert_slice(TileCache::dataset_key("/y", big), big, 0, 0, bytes.data(), false,
+                     small.tenant_id(""));
   EXPECT_EQ(small.resident_bytes(), 0);
 }
 
 /// Which slices (single-tile each) survive after inserting 0..n-1 into a
 /// k-slice-capacity cache, touching `touched` in order between the fill and
 /// the overflow inserts.
-std::set<std::int64_t> survivors(CachePolicy policy,
-                                 const std::vector<std::int64_t>& touched) {
+std::set<std::int64_t> survivors(const std::vector<std::int64_t>& touched) {
   const DatasetMeta meta = make_meta(16, 16, 8, 1);
   TileCacheConfig cfg;
   cfg.budget_bytes = 4 * 512;
   cfg.tile_w = 16;
   cfg.tile_h = 16;
   cfg.shards = 1;  // single shard pins the global eviction order
-  cfg.policy = policy;
   TileCache cache(cfg);
   const std::uint64_t ds = TileCache::dataset_key("/x", meta);
   const int tenant = cache.tenant_id("");
 
   for (std::int64_t z = 0; z < 4; ++z) {
     const auto bytes = make_slice(meta, 0, z);
-    cache.insert_slice(ds, meta, 0, z, bytes.data(), 1.0, false, tenant);
+    cache.insert_slice(ds, meta, 0, z, bytes.data(), false, tenant);
   }
   std::vector<std::uint16_t> out(16 * 16);
   for (const std::int64_t z : touched) {
@@ -167,7 +155,7 @@ std::set<std::int64_t> survivors(CachePolicy policy,
   }
   for (std::int64_t z = 4; z < 6; ++z) {  // two inserts => two evictions
     const auto bytes = make_slice(meta, 0, z);
-    cache.insert_slice(ds, meta, 0, z, bytes.data(), 1.0, false, tenant);
+    cache.insert_slice(ds, meta, 0, z, bytes.data(), false, tenant);
   }
   std::set<std::int64_t> alive;
   for (std::int64_t z = 0; z < 8; ++z) {
@@ -178,52 +166,13 @@ std::set<std::int64_t> survivors(CachePolicy policy,
 
 TEST(TileCache, LruEvictsLeastRecentlyUsedDeterministically) {
   // Fill 0,1,2,3; touch 0 and 1; insert 4,5 => victims are 2 then 3.
-  const std::set<std::int64_t> alive = survivors(CachePolicy::Lru, {0, 1});
+  const std::set<std::int64_t> alive = survivors({0, 1});
   EXPECT_EQ(alive, (std::set<std::int64_t>{0, 1, 4, 5}));
   // Repeatability: the same sequence gives the same survivors.
-  EXPECT_EQ(survivors(CachePolicy::Lru, {0, 1}), alive);
-}
-
-TEST(TileCache, ClockGivesTouchedTilesASecondChance) {
-  // Fill 0,1,2,3; touch 0 and 1 (sets their ref bits); insert 4,5. The clock
-  // hand clears 0/1's ref bits instead of evicting them, so the untouched
-  // 2 and 3 go — same survivors as LRU here, reached via second chance.
-  const std::set<std::int64_t> alive = survivors(CachePolicy::Clock, {0, 1});
-  EXPECT_EQ(alive, (std::set<std::int64_t>{0, 1, 4, 5}));
-  // Divergence from LRU: touch everything, then insert. LRU evicts the two
-  // oldest-touched (0, 1); clock clears every ref bit on the first sweep and
-  // then evicts from the cold end deterministically.
-  const std::set<std::int64_t> lru = survivors(CachePolicy::Lru, {3, 2, 1, 0});
-  EXPECT_EQ(lru, (std::set<std::int64_t>{0, 1, 4, 5}));
-  const std::set<std::int64_t> clock = survivors(CachePolicy::Clock, {3, 2, 1, 0});
-  EXPECT_EQ(clock.size(), 4u);
-  EXPECT_EQ(survivors(CachePolicy::Clock, {3, 2, 1, 0}), clock);  // deterministic
-}
-
-TEST(TileCache, CostPolicyKeepsExpensiveTiles) {
-  const DatasetMeta meta = make_meta(16, 16, 8, 1);
-  TileCacheConfig cfg;
-  cfg.budget_bytes = 4 * 512;
-  cfg.tile_w = 16;
-  cfg.tile_h = 16;
-  cfg.shards = 1;
-  cfg.policy = CachePolicy::Cost;
-  TileCache cache(cfg);
-  const std::uint64_t ds = TileCache::dataset_key("/x", meta);
-  const int tenant = cache.tenant_id("");
-
-  // Slice 0 was a degraded-replica read (expensive to refetch); 1..3 cheap.
-  for (std::int64_t z = 0; z < 4; ++z) {
-    const auto bytes = make_slice(meta, 0, z);
-    cache.insert_slice(ds, meta, 0, z, bytes.data(), z == 0 ? 4.0 : 1.0, false, tenant);
-  }
-  for (std::int64_t z = 4; z < 7; ++z) {
-    const auto bytes = make_slice(meta, 0, z);
-    cache.insert_slice(ds, meta, 0, z, bytes.data(), 1.0, false, tenant);
-  }
-  // Three evictions happened; the expensive slice 0 must have survived all.
-  EXPECT_TRUE(cache.slice_fully_cached(ds, meta, 0, 0));
-  EXPECT_EQ(cache.stats().evictions, 3);
+  EXPECT_EQ(survivors({0, 1}), alive);
+  // Touch order, not insert order, decides: touching 3,2,1,0 makes 3 and 2
+  // the least recently used, so they go.
+  EXPECT_EQ(survivors({3, 2, 1, 0}), (std::set<std::int64_t>{0, 1, 4, 5}));
 }
 
 TEST(TileCache, PerTenantAccountingSumsToGlobal) {
@@ -241,8 +190,8 @@ TEST(TileCache, PerTenantAccountingSumsToGlobal) {
 
   const auto b0 = make_slice(meta, 0, 0);
   const auto b1 = make_slice(meta, 0, 1);
-  cache.insert_slice(ds, meta, 0, 0, b0.data(), 1.0, false, alice);
-  cache.insert_slice(ds, meta, 0, 1, b1.data(), 1.0, false, bob);
+  cache.insert_slice(ds, meta, 0, 0, b0.data(), false, alice);
+  cache.insert_slice(ds, meta, 0, 1, b1.data(), false, bob);
   std::vector<std::uint16_t> out(16 * 16);
   TileRectStats s;
   EXPECT_TRUE(cache.read_rect(ds, meta, 0, 0, 0, 0, 16, 16, out.data(), alice, s));
@@ -281,7 +230,7 @@ TEST(TileCache, DrainUnmeteredConservesTotals) {
   const int tenant = cache.tenant_id("");
   for (std::int64_t z = 0; z < 6; ++z) {
     const auto bytes = make_slice(meta, 0, z);
-    cache.insert_slice(ds, meta, 0, z, bytes.data(), 1.0, /*prefetched=*/z % 2 == 0,
+    cache.insert_slice(ds, meta, 0, z, bytes.data(), /*prefetched=*/z % 2 == 0,
                        tenant);
   }
   std::int64_t ev = 0, pi = 0, pu = 0;
@@ -428,7 +377,7 @@ TEST(TileCacheStress, ConcurrentReadersAndWritersKeepBudgetAndIdentity) {
           for (std::int64_t k = 0; k < 32 * 32; ++k) ASSERT_EQ(out[k], px[k]);
         } else {
           const auto bytes = make_slice(meta, t, z);
-          cache.insert_slice(ds, meta, t, z, bytes.data(), 1.0, iter % 2 == 0, tenant);
+          cache.insert_slice(ds, meta, t, z, bytes.data(), iter % 2 == 0, tenant);
         }
       }
     });

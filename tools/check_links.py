@@ -17,7 +17,11 @@ actually understands) and fails when
   * a doc or the usage() text mentions a `--flag` the parser never reads
     (documented-but-not-registered), or
   * a registered flag is missing from the usage() text or from every given
-    doc (registered-but-not-documented).
+    doc (registered-but-not-documented), or
+  * a registered flag is in none of cli.cpp's per-verb option lists (the
+    `k...Options[]` tables every verb checks its options against), or a
+    listed option is never read — either way a verb would reject a flag it
+    reads or accept one it ignores.
 
 Flags of external tools that legitimately appear in the docs (ctest,
 cmake, the bench harness, check_bench.py) are listed in EXTERNAL_FLAGS.
@@ -40,6 +44,8 @@ CODE_FENCE_RE = re.compile(r"```.*?```", re.DOTALL)
 # Args accessor calls in cli.cpp: .get("roi", ...), .require("out"), ...
 FLAG_CALL_RE = re.compile(
     r'\.(?:get|get_int|get_int_list|get_vec4|require|has)\(\s*"([a-z][a-z0-9-]*)"')
+# The per-verb option lists in cli.cpp: constexpr std::string_view kXOptions[] = {...};
+OPTION_TABLE_RE = re.compile(r"k\w+Options\[\]\s*=\s*\{(.*?)\};", re.DOTALL)
 # A --flag token anywhere (usage text, doc prose, code blocks, tables).
 FLAG_TOKEN_RE = re.compile(r"--([a-z][a-z0-9-]*)")
 
@@ -112,6 +118,15 @@ def check_flags(argv: list[str]) -> int:
     for f in sorted(registered - usage_mentions):
         print(f"{cli_path}: flag --{f} is parsed but absent from the usage() "
               f"text")
+        errors += 1
+    accepted = set()
+    for body in OPTION_TABLE_RE.findall(cli_text):
+        accepted |= set(re.findall(r'"([a-z][a-z0-9-]*)"', body))
+    for f in sorted(registered - accepted):
+        print(f"{cli_path}: flag --{f} is parsed but in no verb's option list")
+        errors += 1
+    for f in sorted(accepted - registered):
+        print(f"{cli_path}: option list names --{f} but no Args accessor reads it")
         errors += 1
 
     doc_mentions: dict[str, set[str]] = {}

@@ -133,15 +133,10 @@ CACHE_INT_KEYS = (
     "resident_bytes",
 )
 
-CACHE_POLICIES = ("lru", "clock", "cost")
-
-
 def check_cache_object(cache: object, path: str, where: str) -> None:
     """Tile-cache section: key presence, types, and counter conservation."""
     if not require(isinstance(cache, dict), path, f"{where}: not an object"):
         return
-    require(cache.get("policy") in CACHE_POLICIES, path,
-            f"{where}: policy invalid ({cache.get('policy')!r})")
     for k in CACHE_INT_KEYS:
         require(isinstance(cache.get(k), int), path, f"{where}: missing {k}")
     if all(isinstance(cache.get(k), int) for k in CACHE_INT_KEYS):
@@ -324,10 +319,7 @@ def check_metrics_object(doc: object, path: str, where: str = "") -> None:
     if require(isinstance(ex, dict), path, f"{where}: missing execution object"):
         for k in EXECUTION_COUNTER_KEYS:
             require(isinstance(ex.get(k), int), path, f"{where}: execution.{k} missing")
-        # Hot-queue accounting (--queue flag; "none" for the simulated engine).
-        impl = ex.get("queue_impl")
-        require(impl in ("none", "locked", "mpmc"), path,
-                f"{where}: execution.queue_impl invalid ({impl!r})")
+        # Inbox accounting (zero for the simulated engine).
         for k in ("queue_stalled_pushes", "queue_max_depth"):
             require(isinstance(ex.get(k), int), path, f"{where}: execution.{k} missing")
         require(isinstance(ex.get("queue_stall_seconds"), (int, float)), path,
@@ -423,8 +415,10 @@ def check_jobs_object(doc: dict, path: str) -> None:
     if require(isinstance(ex, dict), path, "exec: missing object"):
         for k in EXECUTION_COUNTER_KEYS:
             require(isinstance(ex.get(k), int), path, f"exec.{k} missing")
-        require(ex.get("queue_impl") in ("none", "locked", "mpmc"), path,
-                f"exec.queue_impl invalid ({ex.get('queue_impl')!r})")
+        for k in ("queue_stalled_pushes", "queue_max_depth"):
+            require(isinstance(ex.get(k), int), path, f"exec.{k} missing")
+        require(isinstance(ex.get("queue_stall_seconds"), (int, float)), path,
+                "exec.queue_stall_seconds missing")
 
     if "cache" in doc:
         check_cache_object(doc.get("cache"), path, "cache")
