@@ -2,6 +2,8 @@
 // reference paths (dense VisitAll, dense SkipZeros, sparse from_dense +
 // compute) against the kernel's fused single sweep, which produces the sparse
 // entry list and all fourteen features in one pass over the non-zero cells.
+// The --json mode also times the whole per-ROI path at the CLI default
+// configuration, kernel against reference.
 //
 // Two modes, matching micro_glcm:
 //   * default: google-benchmark tables;
@@ -12,7 +14,6 @@
 #include "haralick/directions.hpp"
 #include "haralick/features.hpp"
 #include "haralick/kernel.hpp"
-#include "haralick/sliding.hpp"
 #include "micro_common.hpp"
 
 namespace {
@@ -79,27 +80,6 @@ void BM_Features_KernelFused(benchmark::State& state) {
 }
 BENCHMARK(BM_Features_KernelFused);
 
-void BM_Features_SlidingIncremental(benchmark::State& state) {
-  // Amortized cost per ROI of a full x-row raster scan through the
-  // incremental path: one reset, then boundary-delta slides with O(Ng)
-  // feature finalization at each position.
-  const auto v = mri_like({38, 11, 7, 7}, 32);
-  const auto dirs = haralick::unique_directions(ActiveDims::spatial3());
-  const std::int64_t positions = 38 - 7 + 1;
-  haralick::SlidingGlcm s(v.view(), {7, 7, 3, 3}, dirs, 32);
-  for (auto _ : state) {
-    s.reset({0, 2, 2, 2});
-    for (std::int64_t x = 0;; ++x) {
-      auto fv = s.features(haralick::FeatureSet::all());
-      benchmark::DoNotOptimize(fv);
-      if (x + 1 == positions) break;
-      s.slide(0);
-    }
-  }
-  state.SetItemsProcessed(state.iterations() * positions);
-}
-BENCHMARK(BM_Features_SlidingIncremental);
-
 // ---- committed-baseline mode (--json) ----
 
 int run_json(const std::string& path) {
@@ -165,26 +145,34 @@ int run_json(const std::string& path) {
   runs.push_back({"roi_kernel_fused_strict/" + config,
                   {{"ns_per_roi", strict_e2e_ns}, {"nnz", nnz}}});
 
-  // Amortized end-to-end per ROI along a full x-row scan through the
-  // incremental sliding path (one reset, then boundary-delta slides with
-  // O(Ng) feature finalization). This is the headline roi_kernel figure
-  // check_bench.py gates against the frozen PR 4 anchor.
-  const auto vrow = mri_like({38, 11, 7, 7}, 32);
-  const std::int64_t positions = 38 - 7 + 1;
-  haralick::SlidingGlcm sliding(vrow.view(), {7, 7, 3, 3}, dirs, 32);
-  const double row_ns = h4d::bench::measure_ns_per_op([&] {
-    sliding.reset({0, 2, 2, 2});
-    for (std::int64_t x = 0;; ++x) {
-      auto fv = sliding.features(set);
-      benchmark::DoNotOptimize(fv);
-      if (x + 1 == positions) break;
-      sliding.slide(0);
-    }
+  // The CLI default configuration (4D ROI 7x7x3x3, all 40 unique 4D
+  // directions, Ng 32, paper features, Full representation, SkipZeros):
+  // reference build + dense feature pass against exactly what analyze_chunk
+  // does per ROI there (kernel accumulate, fold into a dense matrix, dense
+  // feature pass). check_bench.py gates the same-run ratio of these rows.
+  const auto dirs40 = haralick::unique_directions(ActiveDims::all4());
+  const haralick::FeatureSet paper = haralick::FeatureSet::paper_eval();
+  const std::string default_config = "default_roi7x7x3x3_dirs40_ng32_paper";
+  haralick::Glcm dense(32);
+  dense.accumulate_reference(v.view(), roi, dirs40);
+  const double nnz40 = static_cast<double>(haralick::SparseGlcm::from_dense(dense).nnz());
+  const double ref_dense_ns = h4d::bench::measure_ns_per_op([&] {
+    dense.clear();
+    dense.accumulate_reference(v.view(), roi, dirs40);
+    auto fv = haralick::compute_features(dense, paper, haralick::ZeroPolicy::SkipZeros);
+    benchmark::DoNotOptimize(fv);
   });
-  runs.push_back({"roi_sliding_incremental/" + config,
-                  {{"ns_per_roi", row_ns / static_cast<double>(positions)},
-                   {"nnz", nnz},
-                   {"row_positions", static_cast<double>(positions)}}});
+  const double kernel_dense_ns = h4d::bench::measure_ns_per_op([&] {
+    scratch.accumulate(v.view(), roi, dirs40);
+    dense.clear();
+    scratch.finalize_add(dense);
+    auto fv = haralick::compute_features(dense, paper, haralick::ZeroPolicy::SkipZeros);
+    benchmark::DoNotOptimize(fv);
+  });
+  runs.push_back({"roi_reference_dense/" + default_config,
+                  {{"ns_per_roi", ref_dense_ns}, {"nnz", nnz40}}});
+  runs.push_back({"roi_kernel_dense/" + default_config,
+                  {{"ns_per_roi", kernel_dense_ns}, {"nnz", nnz40}}});
 
   return h4d::bench::write_micro_json("micro_features", runs, path);
 }

@@ -90,7 +90,7 @@ BENCHMARK(BM_AnalyzeChunk_FullPipelineKernel)->Arg(0)->Arg(1);
 
 /// Times one (volume, roi, dirs, ng) configuration through both construction
 /// paths. Each op rebuilds the dense matrix from scratch, exactly what the
-/// non-sliding engine does per ROI position.
+/// engine does per ROI position.
 void json_glcm_pair(std::vector<h4d::bench::MicroRun>& runs, const std::string& config,
                     const Volume4<Level>& v, const Region4& roi,
                     const std::vector<Vec4>& dirs, int ng) {

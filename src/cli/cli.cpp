@@ -82,6 +82,21 @@ class Args {
   }
   bool has(const std::string& key) const { return options_.count(key) != 0; }
 
+  /// Value of an enum-valued option: one of `allowed`, the first of which is
+  /// the default. Any other value fails rather than falling back silently.
+  std::string get_choice(const std::string& key,
+                         std::initializer_list<std::string_view> allowed) const {
+    const auto it = options_.find(key);
+    if (it == options_.end()) return std::string(*allowed.begin());
+    if (std::find(allowed.begin(), allowed.end(), it->second) != allowed.end()) {
+      return it->second;
+    }
+    std::string names;
+    for (const std::string_view a : allowed) (names += names.empty() ? "" : "|") += a;
+    throw std::runtime_error("--" + key + " must be one of " + names + ", got '" +
+                             it->second + "'");
+  }
+
   int get_int(const std::string& key, int fallback) const {
     const auto it = options_.find(key);
     if (it == options_.end()) return fallback;
@@ -139,7 +154,7 @@ class Args {
 // Args accessor reads is listed here.
 constexpr std::string_view kPipelineOptions[] = {
     // engine_from_args
-    "roi", "levels", "features", "repr", "dirs", "sliding", "sweep",
+    "roi", "levels", "features", "repr", "dirs", "sweep",
     // pipeline_from_args: layout, resilience, checkpoint
     "chunk", "variant", "workers", "plan", "faults", "on-corrupt", "retry", "checksums",
     "fill", "dead-nodes", "checkpoint", "resume",
@@ -168,26 +183,17 @@ haralick::EngineConfig engine_from_args(const Args& args) {
   haralick::EngineConfig engine;
   engine.roi_dims = args.get_vec4("roi", {7, 7, 3, 3});
   engine.num_levels = args.get_int("levels", 32);
-  const std::string features = args.get("features", "paper");
-  if (features == "paper") {
-    engine.features = haralick::FeatureSet::paper_eval();
-  } else if (features == "all") {
+  if (args.get_choice("features", {"paper", "all"}) == "all") {
     engine.features = haralick::FeatureSet::all();
-  } else {
-    throw std::runtime_error("--features must be 'paper' or 'all'");
   }
-  if (args.get("repr", "full") == "sparse") {
+  if (args.get_choice("repr", {"full", "sparse"}) == "sparse") {
     engine.representation = haralick::Representation::Sparse;
   }
-  if (args.get("dirs", "all") == "axis") {
+  if (args.get_choice("dirs", {"all", "axis"}) == "axis") {
     engine.directions = haralick::axis_directions(haralick::ActiveDims::all4());
   }
-  engine.sliding_window = args.get("sliding", "off") == "on";
-  const std::string sweep = args.get("sweep", "fast");
-  if (sweep == "strict") {
+  if (args.get_choice("sweep", {"fast", "strict"}) == "strict") {
     engine.sweep_mode = haralick::SweepMode::Strict;
-  } else if (sweep != "fast") {
-    throw std::runtime_error("--sweep must be 'strict' or 'fast'");
   }
   return engine;
 }
@@ -310,8 +316,8 @@ core::PipelineConfig pipeline_from_args(const Args& args, const std::string& dat
   cfg.texture_chunk = args.get_vec4("chunk", {64, 64, 8, 8});
   // Clamp the chunk to the dataset so small studies work out of the box.
   cfg.texture_chunk = Vec4::min(cfg.texture_chunk, meta.dims);
-  cfg.variant = args.get("variant", "split") == "hmp" ? core::Variant::HMP
-                                                      : core::Variant::Split;
+  cfg.variant = args.get_choice("variant", {"split", "hmp"}) == "hmp" ? core::Variant::HMP
+                                                                      : core::Variant::Split;
 
   // Resilience: --faults injects deterministic storage faults, --retry sets
   // the retry budget, --on-corrupt picks the degradation policy.
@@ -324,7 +330,7 @@ core::PipelineConfig pipeline_from_args(const Args& args, const std::string& dat
       cfg.resilience.policy = io::DegradePolicy::Retry;
     }
   }
-  cfg.resilience.verify_checksums = args.get("checksums", "on") == "on";
+  cfg.resilience.verify_checksums = args.get_choice("checksums", {"on", "off"}) == "on";
   cfg.resilience.fill_value = static_cast<std::uint16_t>(args.get_int("fill", 0));
   // Degraded mode: nodes listed here read nothing; their slices come from
   // the surviving replicas (missing node directories are detected on top).
@@ -333,7 +339,7 @@ core::PipelineConfig pipeline_from_args(const Args& args, const std::string& dat
   // Checkpoint/resume: --checkpoint names the chunk-completion manifest;
   // --resume on prunes chunks the manifest already records as complete.
   cfg.checkpoint_path = args.get("checkpoint", "");
-  cfg.resume = args.get("resume", "off") == "on";
+  cfg.resume = args.get_choice("resume", {"off", "on"}) == "on";
   if (cfg.resume && cfg.checkpoint_path.empty()) {
     throw std::runtime_error("--resume on requires --checkpoint FILE");
   }
@@ -345,9 +351,10 @@ core::PipelineConfig pipeline_from_args(const Args& args, const std::string& dat
   cfg.tail = tail_config_from_args(args);
 
   const int workers = args.get_int("workers", 4);
+  const bool auto_plan = args.get_choice("plan", {"fixed", "auto"}) == "auto";
   if (cfg.variant == core::Variant::HMP) {
     cfg.hmp_copies = workers;
-  } else if (args.get("plan", "fixed") == "auto" && workers >= 2) {
+  } else if (auto_plan && workers >= 2) {
     // Probe the dataset (through the resilient read path) and split the
     // worker budget by the measured HCC:HPC cost ratio (paper Sec. 5.2).
     const core::SplitPlan plan = core::plan_split_dataset(
@@ -536,9 +543,10 @@ int cmd_scrub(const Args& args, std::ostream& out) {
 int cmd_repair(const Args& args, std::ostream& out) {
   if (args.positional().empty()) throw std::runtime_error("repair: need a dataset directory");
   const std::string dataset = args.positional()[0];
+  const bool add_checksums = args.get_choice("add-checksums", {"off", "on"}) == "on";
   const io::RepairReport report = io::repair_dataset(dataset);
   out << "repair " << dataset << ": " << report.summary() << "\n";
-  if (args.get("add-checksums", "off") == "on") {
+  if (add_checksums) {
     const io::ChecksumMigrationReport migration = io::add_checksums(dataset);
     out << "add-checksums: " << migration.summary() << "\n";
   }
@@ -624,7 +632,7 @@ int cmd_serve(const Args& args, std::ostream& out) {
   wl.deadline_s = args.get_int("deadline-ms", 500) / 1000.0;
   wl.max_retries = args.get_int("job-retries", 0);
   wl.est_scale = args.get_int("est-ms", 0) / 1000.0;
-  wl.simulate = args.get("mode", "threaded") == "sim";
+  wl.simulate = args.get_choice("mode", {"threaded", "sim"}) == "sim";
   wl.base.config = pipeline_from_args(args, dataset);
   wl.base.threaded.supervise = supervisor_from_args(args);
   if (wl.simulate) {
@@ -713,7 +721,7 @@ int cmd_jobs(const Args& args, std::ostream& out) {
   svc::JobSpec base;
   base.config = pipeline_from_args(args, dataset);
   base.threaded.supervise = supervisor_from_args(args);
-  const bool any_sim = args.get("mode", "threaded") == "sim";
+  const bool any_sim = args.get_choice("mode", {"threaded", "sim"}) == "sim";
   if (any_sim) {
     const io::DatasetMeta meta = io::DatasetMeta::load(dataset);
     const int first_texture = place_for_simulation(base.config, meta);
@@ -766,8 +774,8 @@ int usage(std::ostream& err) {
          "  info     DATASET_DIR\n"
          "  analyze  DATASET_DIR [--out DIR] [--variant hmp|split] [--workers N]\n"
          "           [--roi X,Y,Z,T] [--levels N] [--features paper|all]\n"
-         "           [--repr full|sparse] [--dirs all|axis] [--sliding on|off]\n"
-         "           [--sweep strict|fast] [--chunk X,Y,Z,T] [--plan fixed|auto]\n"
+         "           [--repr full|sparse] [--dirs all|axis] [--sweep strict|fast]\n"
+         "           [--chunk X,Y,Z,T] [--plan fixed|auto]\n"
          "           [--faults SPEC] [--retry N] [--on-corrupt fail|retry|skip]\n"
          "           [--checksums on|off] [--fill V] [--dead-nodes N,M]\n"
          "           [--supervise fail|restart|quarantine] [--max-restarts N]\n"

@@ -237,8 +237,7 @@ struct PipelineParams {
     }
     s << '/' << static_cast<int>(engine.direction_mode) << '/'
       << static_cast<int>(engine.representation) << '/'
-      << static_cast<int>(engine.sweep_mode) << '/' << static_cast<int>(engine.zero_policy)
-      << '/' << engine.sliding_window;
+      << static_cast<int>(engine.sweep_mode) << '/' << static_cast<int>(engine.zero_policy);
     if (!job_tag.empty()) s << '/' << job_tag;
     const std::string canon = s.str();
     std::ostringstream hex;

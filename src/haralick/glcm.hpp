@@ -65,16 +65,6 @@ class Glcm {
   /// `table` must be Ng*Ng counts; symmetry is the caller's responsibility.
   void set_raw(std::vector<std::uint32_t> table, std::int64_t total);
 
-  /// Adjust one symmetric pair observation by sign (+1/-1): both (a, b) and
-  /// (b, a) cells change, total changes by 2*sign. Used by the incremental
-  /// sliding-window maintenance. Asserts against underflow.
-  void adjust_pair(Level a, Level b, int sign);
-
-  /// adjust_pair that also returns the pre-update count of cell (a, b), so
-  /// the sliding window's feature-accumulator deltas (which need the old
-  /// count for the sum-of-squares term) reuse the same cell index math.
-  std::uint32_t adjust_pair_counted(Level a, Level b, int sign);
-
   /// Accumulate co-occurrences of ROI `roi` of a quantized volume view for
   /// every displacement in `dirs`. Each valid pair (p, p+d) inside the ROI
   /// increments both (g0,g1) and (g1,g0). Returns the number of cell updates

@@ -6,7 +6,6 @@
 
 #include "haralick/directions.hpp"
 #include "haralick/kernel.hpp"
-#include "haralick/sliding.hpp"
 #include "nd/raster.hpp"
 
 namespace h4d::haralick {
@@ -52,11 +51,6 @@ std::vector<FeatureBlock> analyze_chunk(Vol4View<const Level> chunk_view,
   }
   if (n == 0) return blocks;
 
-  if (cfg.sliding_window && cfg.direction_mode != DirectionMode::Pooled) {
-    throw std::invalid_argument(
-        "analyze_chunk: sliding_window requires DirectionMode::Pooled");
-  }
-
   // Kernel working state: the caller's per-thread scratch when given, else a
   // local one for this chunk.
   std::optional<KernelScratch> local_scratch;
@@ -71,13 +65,9 @@ std::vector<FeatureBlock> analyze_chunk(Vol4View<const Level> chunk_view,
   // Per-ROI matrix + feature evaluation through the kernel: accumulate the
   // upper-triangle tile, then either fold to the dense table (Full) or run
   // the fused non-zero sweep which also stands in for the sparse conversion
-  // (Sparse). On this (non-sliding) kernel path, SweepMode::Strict is
-  // bit-identical to compute_features on a reference-built Glcm /
-  // SparseGlcm (property-tested in test_kernel); the Fast default agrees to
-  // ~1e-10 relative. The
-  // sliding branch below finalizes from count-space accumulators instead
-  // and matches the reference pass to ~1e-9 in either mode (see
-  // sliding.hpp).
+  // (Sparse). SweepMode::Strict is bit-identical to compute_features on a
+  // reference-built Glcm / SparseGlcm (property-tested in test_kernel); the
+  // Fast default agrees to ~1e-10 relative.
   Glcm dense_scratch(cfg.num_levels);
   const auto kernel_features_of_roi = [&](const Region4& roi,
                                           const std::vector<Vec4>& dv) {
@@ -94,14 +84,7 @@ std::vector<FeatureBlock> analyze_chunk(Vol4View<const Level> chunk_view,
     return compute_features(dense_scratch, cfg.features, cfg.zero_policy, wc);
   };
 
-  std::optional<SlidingGlcm> sliding;
-  if (cfg.sliding_window) {
-    sliding.emplace(chunk_view, cfg.roi_dims, dirs, cfg.num_levels);
-  }
-  std::int64_t sliding_updates_before = 0;
-
   std::int64_t k = 0;
-  Vec4 prev_origin{-2, -2, -2, -2};
   for (const Vec4& origin : raster(owned_origins)) {
     // ROI in chunk-local coordinates.
     const Region4 roi{origin - chunk_region.origin, cfg.roi_dims};
@@ -112,25 +95,7 @@ std::vector<FeatureBlock> analyze_chunk(Vol4View<const Level> chunk_view,
 
     FeatureVector fv;
     if (cfg.direction_mode == DirectionMode::Pooled) {
-      if (sliding) {
-        const Vec4 step = origin - prev_origin;
-        if (sliding->positioned() && step == Vec4{1, 0, 0, 0}) {
-          sliding->slide(0);
-        } else {
-          sliding->reset(roi.origin);
-        }
-        if (wc != nullptr) {
-          wc->glcm_pair_updates += sliding->updates_performed() - sliding_updates_before;
-          wc->matrices_built += 1;
-        }
-        sliding_updates_before = sliding->updates_performed();
-        // Finalize from the incrementally maintained count-space
-        // accumulators — O(Ng) plus the entropy occupancy scan — instead
-        // of re-walking the matrix through compute_features.
-        fv = sliding->features(cfg.features, wc, cfg.sweep_mode);
-      } else {
-        fv = kernel_features_of_roi(roi, dirs);
-      }
+      fv = kernel_features_of_roi(roi, dirs);
     } else {
       // One matrix per direction; aggregate the per-direction features.
       FeatureVector lo, hi, sum;
@@ -160,7 +125,6 @@ std::vector<FeatureBlock> analyze_chunk(Vol4View<const Level> chunk_view,
                             : hi.value[idx] - lo.value[idx];
       }
     }
-    prev_origin = origin;
     for (std::size_t s = 0; s < selected.size(); ++s) {
       blocks[s].values[static_cast<std::size_t>(k)] = static_cast<float>(fv[selected[s]]);
     }

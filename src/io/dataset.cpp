@@ -1,10 +1,12 @@
 #include "io/dataset.hpp"
 
 #include <algorithm>
+#include <cctype>
 #include <cstring>
 #include <fstream>
 #include <memory>
 #include <optional>
+#include <set>
 #include <sstream>
 #include <stdexcept>
 
@@ -26,6 +28,44 @@ std::string slice_read_error_message(const std::string& file, std::int64_t t,
   os << kind << " in " << file << " (slice t=" << t << ", z=" << z << "): expected "
      << expected << " bytes, got " << actual;
   return os.str();
+}
+
+/// A slice filename an index may name: a plain file inside the node
+/// directory, never a path into another directory.
+bool is_basename(const std::string& name) {
+  return !name.empty() && name != "." && name != ".." &&
+         name.find('/') == std::string::npos;
+}
+
+/// Rejects dims no indexed slice file agrees with: some slice file listed in
+/// a node index must hold exactly x*y*elem bytes. One match is enough (every
+/// read checks its own size), so a single truncated slice still reports as a
+/// short read rather than as bad metadata; with no slice files on disk
+/// there is nothing to compare against.
+void check_dims_against_slices(const std::filesystem::path& root, const DatasetMeta& m) {
+  std::optional<std::pair<std::filesystem::path, std::uintmax_t>> mismatch;
+  for (int n = 0; n < m.storage_nodes; ++n) {
+    const std::filesystem::path dir = root / node_dir_name(n);
+    std::vector<SliceRef> slices;
+    try {
+      slices = StorageNodeReader(dir, m, n).slices();
+    } catch (const std::runtime_error&) {
+      continue;  // a missing or malformed index fails in its own readers
+    }
+    for (const SliceRef& s : slices) {
+      std::error_code ec;
+      const std::uintmax_t size = std::filesystem::file_size(dir / s.filename, ec);
+      if (ec) continue;
+      if (size == static_cast<std::uintmax_t>(m.slice_bytes())) return;
+      if (!mismatch) mismatch.emplace(dir / s.filename, size);
+    }
+  }
+  if (mismatch) {
+    throw std::runtime_error("dataset.meta under " + root.string() + ": dims " +
+                             m.dims.str() + " give " + std::to_string(m.slice_bytes()) +
+                             "-byte slices, but " + mismatch->first.string() + " holds " +
+                             std::to_string(mismatch->second) + " bytes");
+  }
 }
 
 }  // namespace
@@ -101,27 +141,53 @@ DatasetMeta DatasetMeta::load(const std::filesystem::path& root) {
   if (!m.dims.all_positive() || m.storage_nodes < 1 || m.replicas < 1) {
     throw std::runtime_error("corrupt dataset.meta under " + root.string());
   }
+  // Validate the dims before any reader sizes a buffer from them.
+  auto bytes = static_cast<std::int64_t>(dtype_size(m.dtype));
+  for (int d = 0; d < kDims; ++d) {
+    if (__builtin_mul_overflow(bytes, m.dims[d], &bytes)) {
+      throw std::runtime_error("dataset.meta under " + root.string() + ": dims " +
+                               m.dims.str() + " overflow a 64-bit byte count");
+    }
+  }
+  check_dims_against_slices(root, m);
   return m;
 }
 
 StorageNodeReader::StorageNodeReader(std::filesystem::path node_dir, DatasetMeta meta,
                                      int node_id)
     : dir_(std::move(node_dir)), meta_(meta), node_id_(node_id) {
-  std::ifstream idx(dir_ / kIndexFileName);
-  if (!idx) throw std::runtime_error("cannot read index " + (dir_ / kIndexFileName).string());
+  const std::string index = (dir_ / kIndexFileName).string();
+  std::ifstream idx(index);
+  if (!idx) throw std::runtime_error("cannot read index " + index);
   // Line format: "<t> <z> <filename> [<crc32-hex>]". The checksum column was
-  // added later; indexes without it stay readable (has_crc == false).
+  // added later; indexes without it stay readable (has_crc == false). A line
+  // that breaks the grammar fails naming the index file and line number.
+  std::set<std::int64_t> seen;
   std::string line;
-  while (std::getline(idx, line)) {
+  for (int lineno = 1; std::getline(idx, line); ++lineno) {
     if (line.empty()) continue;
+    const auto bad = [&](const std::string& why) {
+      return std::runtime_error(index + ":" + std::to_string(lineno) + ": " + why + ": " +
+                                line);
+    };
     std::istringstream is(line);
     SliceRef s;
-    if (!(is >> s.t >> s.z >> s.filename)) {
-      throw std::runtime_error("malformed index line in " +
-                               (dir_ / kIndexFileName).string() + ": " + line);
+    if (!(is >> s.t >> s.z >> s.filename)) throw bad("malformed index line");
+    if (!is_basename(s.filename)) throw bad("slice filename must be a basename");
+    if (s.t < 0 || s.t >= meta_.dims[3] || s.z < 0 || s.z >= meta_.dims[2]) {
+      throw bad("t/z outside dataset dims " + meta_.dims.str());
+    }
+    if (!seen.insert(meta_.slice_number(s.z, s.t)).second) {
+      throw bad("duplicate entry for slice t=" + std::to_string(s.t) +
+                ", z=" + std::to_string(s.z));
     }
     std::string crc_hex;
     if (is >> crc_hex) {
+      if (crc_hex.size() > 8 ||
+          !std::all_of(crc_hex.begin(), crc_hex.end(),
+                       [](unsigned char c) { return std::isxdigit(c) != 0; })) {
+        throw bad("checksum must be 1-8 hex digits");
+      }
       s.crc = static_cast<std::uint32_t>(std::stoul(crc_hex, nullptr, 16));
       s.has_crc = true;
     }

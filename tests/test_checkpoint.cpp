@@ -315,7 +315,6 @@ TEST_F(CheckpointFixture, ResumeRefusesManifestOfOtherEngineConfig) {
                  [](EngineConfig& e) { e.representation = Representation::Sparse; });
   expect_refused("sweep mode", [](EngineConfig& e) { e.sweep_mode = SweepMode::Strict; });
   expect_refused("zero policy", [](EngineConfig& e) { e.zero_policy = ZeroPolicy::VisitAll; });
-  expect_refused("sliding window", [](EngineConfig& e) { e.sliding_window = true; });
 }
 
 TEST_F(CheckpointFixture, ResumeWithEmptyManifestPlansEverything) {

@@ -165,6 +165,38 @@ TEST_F(CliTest, BadOptionValueReportsError) {
   EXPECT_EQ(invoke({"phantom", "--out", (dir_ / "x").string(), "--dims", "16,16"}), 1);
   EXPECT_NE(stderr_text().find("comma-separated"), std::string::npos);
   EXPECT_EQ(invoke({"phantom", "--out", (dir_ / "x").string(), "--nodes", "two"}), 1);
+
+  // Enum-valued flags reject anything outside their value set, naming the
+  // flag, the allowed values and the offending value, before doing any work.
+  const std::string ds = (dir_ / "ds").string();
+  ASSERT_EQ(invoke({"phantom", "--out", ds, "--dims", "12,12,4,2", "--nodes", "2"}), 0);
+  const struct {
+    const char* verb;
+    const char* flag;
+    const char* value;
+    const char* allowed;
+  } cases[] = {
+      {"analyze", "repr", "bogus", "full|sparse"},
+      {"analyze", "dirs", "bogus", "all|axis"},
+      {"analyze", "variant", "bogus", "split|hmp"},
+      {"analyze", "checksums", "maybe", "on|off"},
+      {"analyze", "resume", "maybe", "off|on"},
+      {"analyze", "plan", "bogus", "fixed|auto"},
+      {"analyze", "features", "some", "paper|all"},
+      {"analyze", "sweep", "bogus", "fast|strict"},
+      {"simulate", "variant", "hmp ", "split|hmp"},
+      {"serve", "mode", "bogus", "threaded|sim"},
+      {"repair", "add-checksums", "yes", "off|on"},
+  };
+  for (const auto& c : cases) {
+    const std::string flag = std::string("--") + c.flag;
+    EXPECT_EQ(invoke({c.verb, ds, flag, c.value}), 1) << flag;
+    EXPECT_NE(stderr_text().find(flag + " must be one of " + c.allowed + ", got '" +
+                                 c.value + "'"),
+              std::string::npos)
+        << stderr_text();
+    EXPECT_EQ(stdout_text(), "") << flag;
+  }
 }
 
 TEST_F(CliTest, InfoOnMissingDatasetFails) {

@@ -52,6 +52,20 @@ void strip_crc_column(const fsys::path& index_file) {
   rewritten << out.str();
 }
 
+// Rewrite a text file line by line through `edit` (which may also append).
+template <typename F>
+void rewrite_lines(const fsys::path& file, F edit) {
+  std::vector<std::string> lines;
+  {
+    std::ifstream in(file);
+    ASSERT_TRUE(in.is_open()) << file;
+    for (std::string line; std::getline(in, line);) lines.push_back(line);
+  }
+  edit(lines);
+  std::ofstream out(file, std::ios::trunc);
+  for (const std::string& line : lines) out << line << '\n';
+}
+
 class CorruptionTest : public ::testing::Test {
  protected:
   void SetUp() override {
@@ -182,6 +196,90 @@ TEST_F(CorruptionTest, TruncatedSliceReportsExpectedVersusActual) {
   EXPECT_THROW(
       reader.read_slice_region(*s, 0, vol_.dims()[1] - 1, vol_.dims()[0], 1, row.data()),
       SliceReadError);
+}
+
+// --- Index grammar and meta validation ----------------------------------------
+
+// Opening node 0 must fail with a runtime_error naming its index file, the
+// offending line number and `why`.
+void expect_index_rejected(const fsys::path& root, int lineno, const std::string& why) {
+  const std::string where = (root / "node_0" / "index.txt").string() + ":" +
+                            std::to_string(lineno) + ": ";
+  try {
+    DiskDataset::open(root).node_reader(0);
+    FAIL() << "index accepted; expected: " << why;
+  } catch (const std::runtime_error& e) {
+    const std::string msg = e.what();
+    EXPECT_NE(msg.find(where), std::string::npos) << msg;
+    EXPECT_NE(msg.find(why), std::string::npos) << msg;
+  }
+}
+
+TEST_F(CorruptionTest, IndexFilenameMustBeABasename) {
+  DiskDataset::create(root_, vol_, 2);
+  rewrite_lines(root_ / "node_0" / "index.txt", [](std::vector<std::string>& lines) {
+    lines[1] = "0 1 ../node_1/slice_t0_z1.raw";
+  });
+  expect_index_rejected(root_, 2, "basename");
+}
+
+TEST_F(CorruptionTest, IndexEntryOutsideDimsIsRejected) {
+  DiskDataset::create(root_, vol_, 2);  // dims z=4, t=3
+  rewrite_lines(root_ / "node_0" / "index.txt", [](std::vector<std::string>& lines) {
+    lines.push_back("3 0 slice_t0_z0.raw");
+  });
+  const int appended = 7;  // 12 slices round-robin over 2 nodes, then this
+  expect_index_rejected(root_, appended, "outside dataset dims");
+  rewrite_lines(root_ / "node_0" / "index.txt", [](std::vector<std::string>& lines) {
+    lines.back() = "0 -1 slice_t0_z0.raw";
+  });
+  expect_index_rejected(root_, appended, "outside dataset dims");
+}
+
+TEST_F(CorruptionTest, DuplicateIndexEntryIsRejected) {
+  DiskDataset::create(root_, vol_, 2);
+  rewrite_lines(root_ / "node_0" / "index.txt",
+                [](std::vector<std::string>& lines) { lines.push_back(lines.front()); });
+  expect_index_rejected(root_, 7, "duplicate entry for slice t=0, z=0");
+}
+
+TEST_F(CorruptionTest, IndexChecksumMustBeOneToEightHexDigits) {
+  DiskDataset::create(root_, vol_, 2);
+  for (const std::string crc : {"maybe", "123456789", "0x1f"}) {
+    rewrite_lines(root_ / "node_0" / "index.txt", [&](std::vector<std::string>& lines) {
+      lines[0] = "0 0 slice_t0_z0.raw " + crc;
+    });
+    expect_index_rejected(root_, 1, "checksum must be 1-8 hex digits");
+  }
+}
+
+TEST_F(CorruptionTest, MetaDimsMustMatchTheSliceFiles) {
+  DiskDataset::create(root_, vol_, 2);  // 7x6 u16 slices: 84 bytes
+  const auto set_dims = [&](const std::string& dims) {
+    rewrite_lines(root_ / "dataset.meta", [&](std::vector<std::string>& lines) {
+      for (std::string& line : lines) {
+        if (line.rfind("dims ", 0) == 0) line = "dims " + dims;
+      }
+    });
+  };
+  const auto expect_meta_rejected = [&](const std::string& dims, const std::string& why) {
+    set_dims(dims);
+    try {
+      DiskDataset::open(root_);
+      FAIL() << "dims " << dims << " accepted";
+    } catch (const std::runtime_error& e) {
+      const std::string msg = e.what();
+      EXPECT_NE(msg.find("dataset.meta"), std::string::npos) << msg;
+      EXPECT_NE(msg.find(why), std::string::npos) << msg;
+    }
+  };
+  // The volume's byte count overflows int64_t before any slice is looked at.
+  expect_meta_rejected("4611686018427387904 1 1 1", "overflow");
+  // Terabyte slices that no slice file on disk agrees with.
+  expect_meta_rejected("99999999999 6 4 3", "holds 84 bytes");
+  expect_meta_rejected("8 6 4 3", "96-byte slices");
+  set_dims("7 6 4 3");
+  EXPECT_NO_THROW(DiskDataset::open(root_));
 }
 
 struct CorruptionE2E : ::testing::Test {

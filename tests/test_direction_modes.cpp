@@ -122,12 +122,5 @@ TEST(DirectionModes, PerDirectionBuildsMoreMatrices) {
   EXPECT_EQ(wm.glcm_pair_updates, wp.glcm_pair_updates);  // same total pairs
 }
 
-TEST(DirectionModes, SlidingWindowIncompatibleWithPerDirection) {
-  const auto v = random_volume({8, 8, 4, 4}, 8, 6);
-  EngineConfig cfg = config(DirectionMode::MeanOverDirections);
-  cfg.sliding_window = true;
-  EXPECT_THROW(analyze_volume(v, cfg), std::invalid_argument);
-}
-
 }  // namespace
 }  // namespace h4d::haralick

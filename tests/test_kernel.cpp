@@ -322,16 +322,16 @@ TEST(Kernel, RejectsRoiOutsideVolumeAndNgMismatch) {
 }
 
 TEST(Glcm, FromDenseSkipsEmptyRowsViaOccupancyBitmap) {
-  // Build a matrix with many empty rows through set_raw and adjust_pair and
-  // check the compressed form is exactly the brute-force scan.
+  // Build a matrix with many empty rows through set_raw and check the compressed form is exactly the brute-force scan.
   const int ng = 64;
   Glcm g(ng);
   std::vector<std::uint32_t> table(static_cast<std::size_t>(ng) * ng, 0);
   table[static_cast<std::size_t>(3) * ng + 60] = 5;
   table[static_cast<std::size_t>(60) * ng + 3] = 5;
   table[static_cast<std::size_t>(17) * ng + 17] = 4;
-  g.set_raw(std::move(table), 14);
-  g.adjust_pair(40, 41, +1);
+  table[static_cast<std::size_t>(40) * ng + 41] = 1;
+  table[static_cast<std::size_t>(41) * ng + 40] = 1;
+  g.set_raw(std::move(table), 16);
 
   EXPECT_TRUE(g.row_possibly_occupied(3));
   EXPECT_TRUE(g.row_possibly_occupied(17));

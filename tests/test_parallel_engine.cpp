@@ -60,16 +60,6 @@ TEST(ParallelEngine, ExplicitChunkDimsRespected) {
   expect_blocks_equal(analyze_volume(v, cfg), analyze_volume_parallel(v, cfg, opt));
 }
 
-TEST(ParallelEngine, SlidingWindowComposes) {
-  const auto v = random_volume({16, 12, 5, 5}, 16, 3);
-  EngineConfig cfg = config();
-  cfg.sliding_window = true;
-  ParallelOptions opt;
-  opt.threads = 4;
-  EngineConfig plain = config();
-  expect_blocks_equal(analyze_volume(v, plain), analyze_volume_parallel(v, cfg, opt));
-}
-
 TEST(ParallelEngine, SparseRepresentationComposes) {
   const auto v = random_volume({12, 12, 5, 4}, 16, 4);
   EngineConfig cfg = config();

@@ -303,7 +303,6 @@ TEST_F(TailReadTest, HedgedReadsWinAgainstAGrayPrimaryAndEvictIt) {
   const DiskDataset ds = DiskDataset::create(root_, vol_, 2, 2);
   ReplicaSet replicas(root_, ds.meta(), {});
   LatencyTracker tracker(2);
-  SliceFetchPool pool(2);
   TailConfig tail;
   tail.hedge_enabled = true;
   tail.hedge_pct = 90.0;
@@ -317,6 +316,9 @@ TEST_F(TailReadTest, HedgedReadsWinAgainstAGrayPrimaryAndEvictIt) {
   fc.stall_ms = 10.0;
   fc.stall_cap_ms = 25.0;
   FaultInjector inj(fc);
+  // Declared after the injector: a lost primary read can still be running on
+  // a pool worker when the test ends, so the pool must be destroyed first.
+  SliceFetchPool pool(2);
 
   ResilienceConfig rc;
   rc.policy = DegradePolicy::Retry;
@@ -356,7 +358,6 @@ TEST_F(TailReadTest, HedgedReadsWinAgainstAGrayPrimaryAndEvictIt) {
 TEST_F(TailReadTest, DeadlineExpiryAbandonsAndFallsBackSynchronously) {
   const DiskDataset ds = DiskDataset::create(root_, vol_, 1);
   LatencyTracker tracker(1);
-  SliceFetchPool pool(2);
   TailConfig tail;
   tail.deadline_enabled = true;
   tail.deadline_ms = 5.0;  // pinned, far below the injected stall
@@ -370,6 +371,7 @@ TEST_F(TailReadTest, DeadlineExpiryAbandonsAndFallsBackSynchronously) {
   fc.stall_ms = 20.0;
   fc.stall_cap_ms = 25.0;
   FaultInjector inj(fc);
+  SliceFetchPool pool(2);  // after the injector: abandoned reads outlive the test body
 
   ResilienceConfig rc;
   rc.policy = DegradePolicy::Retry;

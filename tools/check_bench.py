@@ -12,13 +12,17 @@ family and selects which invariants apply:
         configuration;
       * the fused end-to-end ROI path is not slower than the reference
         sparse path;
-      * the incremental sliding row (roi_sliding_incremental) is >= 5x
-        faster than the frozen pre-rework fused figure (PR4_FUSED_NS, the
-        roi_kernel_fused number committed before the SoA/SIMD sweep,
-        fast-log and boundary-delta feature accumulators landed). The
-        anchor is a constant here rather than a baseline row so that
-        regenerating BENCH_kernel.json with --merge cannot silently
-        erase it.
+      * (a) the fused end-to-end row (roi_kernel_fused) is >= 5x faster
+        than the frozen pre-rework fused figure (PR4_FUSED_NS, the
+        roi_kernel_fused number committed before the eigensolver, SoA/SIMD
+        sweep and fast-log landed). The anchor is a constant here rather
+        than a baseline row so that regenerating BENCH_kernel.json with
+        --merge cannot silently erase it;
+      * (b) at the CLI default configuration (ROI 7x7x3x3, 40 directions,
+        Ng 32, paper features, Full, SkipZeros) the kernel ROI path
+        analyze_chunk runs (roi_kernel_dense) is >= 2x faster than the
+        reference build + dense feature pass (roi_reference_dense), both
+        measured in the same run.
   bench_queue    (BENCH_queue.json)
       * the inbox queue's 4 producers / 4 consumers row is present with a
         positive items/sec (the row --fresh runs are bounded against).
@@ -65,12 +69,18 @@ FUSED_LABELS = (f"roi_reference_sparse/{PAPER_CONFIG}",
                 f"roi_kernel_fused/{PAPER_CONFIG}")
 MIN_SPEEDUP = 3.0
 
-# roi_kernel figure: the committed end-to-end ns/ROI of the fused path
-# before the feature-pass rework (eigensolver, SoA/SIMD sweep, incremental
-# sliding finalize). The incremental row must beat it by >= 5x.
+# Gate (a): the committed end-to-end ns/ROI of the fused path before the
+# feature-pass rework (eigensolver, SoA/SIMD sweep, fast-log). The fused row
+# must beat it by >= 5x.
 PR4_FUSED_NS = 95597.8
-INCREMENTAL_LABEL = f"roi_sliding_incremental/{PAPER_CONFIG}"
 ROI_KERNEL_MIN_SPEEDUP = 5.0
+
+# Gate (b): same-run ratio at the CLI default configuration, reference
+# build + dense features over the kernel path analyze_chunk runs per ROI.
+DEFAULT_CONFIG = "default_roi7x7x3x3_dirs40_ng32_paper"
+DEFAULT_LABELS = (f"roi_reference_dense/{DEFAULT_CONFIG}",
+                  f"roi_kernel_dense/{DEFAULT_CONFIG}")
+DEFAULT_MIN_SPEEDUP = 2.0
 
 # bench_queue: the committed shape that must be present (the bench also
 # emits 1p1c/2p2c rows; those are informational).
@@ -195,21 +205,30 @@ def check_baseline_invariants(runs: dict[str, dict[str, float]],
             if f_ns > r_ns:
                 err(f"{path}: fused end-to-end path slower than reference "
                     f"({f_ns:.0f} ns vs {r_ns:.0f} ns)")
-    inc = runs.get(INCREMENTAL_LABEL)
-    if inc is None:
-        err(f"{path}: missing roi_kernel gate row {INCREMENTAL_LABEL!r}")
-    else:
-        inc_ns = inc.get("ns_per_roi", 0.0)
-        if inc_ns <= 0:
-            err(f"{path}: {INCREMENTAL_LABEL} missing ns_per_roi")
-        else:
-            speedup = PR4_FUSED_NS / inc_ns
-            print(f"  roi_kernel: incremental {inc_ns:.0f} ns vs frozen PR 4 "
-                  f"fused {PR4_FUSED_NS:.0f} ns per ROI -> {speedup:.2f}x "
+            speedup = PR4_FUSED_NS / f_ns
+            print(f"  gate (a): fused {f_ns:.0f} ns vs frozen pre-rework fused "
+                  f"{PR4_FUSED_NS:.0f} ns per ROI -> {speedup:.2f}x "
                   f"(need >= {ROI_KERNEL_MIN_SPEEDUP}x)")
             if speedup < ROI_KERNEL_MIN_SPEEDUP:
-                err(f"{path}: incremental roi_kernel speedup {speedup:.2f}x "
+                err(f"{path}: fused roi_kernel speedup {speedup:.2f}x "
                     f"< {ROI_KERNEL_MIN_SPEEDUP}x on {PAPER_CONFIG}")
+    ref_d = runs.get(DEFAULT_LABELS[0])
+    ker_d = runs.get(DEFAULT_LABELS[1])
+    if ref_d is None or ker_d is None:
+        err(f"{path}: missing default-config gate rows "
+            f"{DEFAULT_LABELS[0]!r} / {DEFAULT_LABELS[1]!r}")
+        return
+    r_ns = ref_d.get("ns_per_roi", 0.0)
+    k_ns = ker_d.get("ns_per_roi", 0.0)
+    if r_ns <= 0 or k_ns <= 0:
+        err(f"{path}: default-config gate rows missing ns_per_roi")
+        return
+    speedup = r_ns / k_ns
+    print(f"  gate (b): kernel {k_ns:.0f} ns vs reference {r_ns:.0f} ns per ROI "
+          f"-> {speedup:.2f}x (need >= {DEFAULT_MIN_SPEEDUP}x)")
+    if speedup < DEFAULT_MIN_SPEEDUP:
+        err(f"{path}: kernel ROI speedup {speedup:.2f}x < {DEFAULT_MIN_SPEEDUP}x "
+            f"on {DEFAULT_CONFIG}")
 
 
 def check_queue_invariants(runs: dict[str, dict[str, float]],

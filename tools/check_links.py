@@ -43,7 +43,7 @@ CODE_FENCE_RE = re.compile(r"```.*?```", re.DOTALL)
 
 # Args accessor calls in cli.cpp: .get("roi", ...), .require("out"), ...
 FLAG_CALL_RE = re.compile(
-    r'\.(?:get|get_int|get_int_list|get_vec4|require|has)\(\s*"([a-z][a-z0-9-]*)"')
+    r'\.(?:get|get_int|get_int_list|get_vec4|get_choice|require|has)\(\s*"([a-z][a-z0-9-]*)"')
 # The per-verb option lists in cli.cpp: constexpr std::string_view kXOptions[] = {...};
 OPTION_TABLE_RE = re.compile(r"k\w+Options\[\]\s*=\s*\{(.*?)\};", re.DOTALL)
 # A --flag token anywhere (usage text, doc prose, code blocks, tables).
