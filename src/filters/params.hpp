@@ -222,15 +222,17 @@ struct PipelineParams {
   }
 
   /// Ownership token for the checkpoint manifest: CRC-32 over everything
-  /// that determines chunk-id meaning (dataset, chunk grid) or the values a
-  /// chunk's output holds (every engine field that changes them), plus the
-  /// job tag. Two runs share a manifest iff their tokens match.
+  /// that determines chunk-id meaning (dataset, chunk grid, partition
+  /// scheme) or the values a chunk's output holds (every engine field that
+  /// changes them), plus the job tag. Two runs share a manifest iff their
+  /// tokens match.
   std::string checkpoint_owner_token() const {
     std::ostringstream s;
     s << dataset_root.string();
     for (int d = 0; d < kDims; ++d) s << '/' << meta.dims[d];
     for (int d = 0; d < kDims; ++d) s << '/' << engine.roi_dims[d];
     for (int d = 0; d < kDims; ++d) s << '/' << texture_chunk[d];
+    s << "/p" << kPartitionScheme;
     s << '/' << engine.num_levels << '/' << engine.features.mask();
     for (const Vec4& dir : engine.effective_directions()) {
       for (int d = 0; d < kDims; ++d) s << (d == 0 ? '/' : ',') << dir[d];

@@ -69,6 +69,40 @@ struct CopyRuntime {
   std::atomic<bool> eos_sent{false};
 };
 
+/// Routing load of a copy: buffers waiting in its inbox, plus one while it is
+/// inside a filter call (the heartbeat is set), so a busy copy with an empty
+/// inbox does not look like an idle one.
+std::size_t routing_load(const CopyRuntime& c) {
+  return c.inbox->size() +
+         (c.busy_since_ns.load(std::memory_order_acquire) >= 0 ? 1 : 0);
+}
+
+/// The live copy with the least routing load, or null when none qualifies.
+/// The scan starts at `start` (mod the copy count), so ties rotate across
+/// copies instead of always going to the first. Skips `exclude`, copies
+/// declared dead and, with `skip_eos_sent`, copies that already sent EOS
+/// (they have left their pop loop and would strand the buffer).
+CopyRuntime* least_loaded_live(const std::vector<CopyRuntime*>& candidates,
+                               std::uint64_t start, const CopyRuntime* exclude,
+                               bool skip_eos_sent) {
+  CopyRuntime* best = nullptr;
+  std::size_t best_load = 0;
+  const std::size_t n = candidates.size();
+  for (std::size_t i = 0; i < n; ++i) {
+    CopyRuntime* c = candidates[(start + i) % n];
+    if (c == exclude || c->declared_dead.load(std::memory_order_acquire) ||
+        (skip_eos_sent && c->eos_sent.load(std::memory_order_acquire))) {
+      continue;
+    }
+    const std::size_t load = routing_load(*c);
+    if (best == nullptr || load < best_load) {
+      best = c;
+      best_load = load;
+    }
+  }
+  return best;
+}
+
 /// Run-global supervision state shared by all copy threads and the watchdog.
 struct SupervisorShared {
   SupervisorOptions opts;
@@ -123,21 +157,6 @@ class ThreadedContext final : public FilterContext {
   }
 
  private:
-  static CopyRuntime* least_loaded_live(const std::vector<CopyRuntime*>& candidates,
-                                        const CopyRuntime* exclude) {
-    CopyRuntime* best = nullptr;
-    std::size_t best_depth = 0;
-    for (CopyRuntime* c : candidates) {
-      if (c == exclude || c->declared_dead.load(std::memory_order_acquire)) continue;
-      const std::size_t d = c->inbox->size();
-      if (best == nullptr || d < best_depth) {
-        best = c;
-        best_depth = d;
-      }
-    }
-    return best;
-  }
-
   void deliver(EdgeRuntime& e, const BufferPtr& buffer) {
     const int n = static_cast<int>(e.consumers.size());
     switch (e.spec->policy) {
@@ -155,9 +174,10 @@ class ThreadedContext final : public FilterContext {
         return;
       }
       case Policy::DemandDriven: {
-        // Route to the copy with the shortest inbox — the copy consuming
-        // buffers the fastest (paper Sec. 4.1's demand-driven scheduling).
-        CopyRuntime* best = least_loaded_live(e.consumers, nullptr);
+        // Route to the least-loaded copy — the copy consuming buffers the
+        // fastest (paper Sec. 4.1's demand-driven scheduling).
+        CopyRuntime* best = least_loaded_live(
+            e.consumers, e.rr_next.fetch_add(1, std::memory_order_relaxed), nullptr, false);
         if (best == nullptr) best = e.consumers[0];  // all dead: recorded lost
         deliver_to(e, best, buffer, true);
         return;
@@ -213,7 +233,8 @@ class ThreadedContext final : public FilterContext {
         // below will skip it.
       }
       if (!reroute) break;
-      target = least_loaded_live(e.consumers, target);
+      target = least_loaded_live(
+          e.consumers, e.rr_next.fetch_add(1, std::memory_order_relaxed), target, false);
     }
     const auto push_end = Clock::now();
     self_->stats.blocked_output_seconds +=
@@ -409,9 +430,12 @@ RunStats run_threaded(const FilterGraph& graph, const ThreadedOptions& options) 
             int remaining = rt->expected_eos;
             int restarts_used = 0;
             std::map<BufferKey, int> crashes;
-            while (remaining > 0) {
+            // After the last EOS only a watchdog takeover can still add data
+            // (it queues behind the EOS tokens): drain it without blocking.
+            while (remaining > 0 || rt->inbox->size() > 0) {
               const auto w0 = Clock::now();
-              std::optional<Envelope> env = rt->inbox->pop();
+              std::optional<Envelope> env =
+                  remaining > 0 ? rt->inbox->pop() : rt->inbox->try_pop();
               rt->stats.blocked_input_seconds +=
                   std::chrono::duration<double>(Clock::now() - w0).count();
               if (!env) break;  // closed: run aborted or this copy was killed
@@ -523,6 +547,10 @@ RunStats run_threaded(const FilterGraph& graph, const ThreadedOptions& options) 
   bool wd_stop = false;
   std::vector<std::atomic<bool>> killed(shared.all.size());
   for (auto& k : killed) k.store(false);
+  std::vector<std::vector<CopyRuntime*>> group_copies(filters.size());
+  for (CopyRuntime* c : shared.all) {
+    group_copies[static_cast<std::size_t>(c->group)].push_back(c);
+  }
   if (shared.opts.watchdog_deadline_ms > 0.0) {
     watchdog = std::thread([&] {
       const auto deadline_ns =
@@ -530,6 +558,7 @@ RunStats run_threaded(const FilterGraph& graph, const ThreadedOptions& options) 
       const double poll_ms = shared.opts.watchdog_poll_ms > 0.0
                                  ? shared.opts.watchdog_poll_ms
                                  : shared.opts.watchdog_deadline_ms / 4.0;
+      std::uint64_t takeover_next = 0;  // rotates ties among takeover targets
       std::unique_lock lk(wd_mu);
       while (!wd_stop) {
         wd_cv.wait_for(lk, std::chrono::duration<double, std::milli>(poll_ms),
@@ -545,7 +574,7 @@ RunStats run_threaded(const FilterGraph& graph, const ThreadedOptions& options) 
           rt->inbox->close();
           // Drain pending buffers: data re-routes demand-driven to live
           // siblings; the dead copy's own EOS tokens are moot.
-          auto& siblings = copies[static_cast<std::size_t>(rt->group)];
+          const auto& siblings = group_copies[static_cast<std::size_t>(rt->group)];
           while (std::optional<Envelope> env = rt->inbox->try_pop()) {
             if (!env->buffer) continue;
             // Bounded takeover attempts: a sibling that already sent EOS has
@@ -553,19 +582,8 @@ RunStats run_threaded(const FilterGraph& graph, const ThreadedOptions& options) 
             // sibling that never frees a slot must not wedge the watchdog.
             bool placed = false;
             for (int attempt = 0; attempt < 20 && !placed; ++attempt) {
-              CopyRuntime* best = nullptr;
-              std::size_t depth = 0;
-              for (auto& s : siblings) {
-                if (s.get() == rt || s->declared_dead.load(std::memory_order_acquire) ||
-                    s->eos_sent.load(std::memory_order_acquire)) {
-                  continue;
-                }
-                const std::size_t d = s->inbox->size();
-                if (best == nullptr || d < depth) {
-                  best = s.get();
-                  depth = d;
-                }
-              }
+              CopyRuntime* best =
+                  least_loaded_live(siblings, takeover_next++, rt, /*skip_eos_sent=*/true);
               if (best == nullptr) break;  // no copy can still take work
               placed = best->inbox->push_for(Envelope{*env},
                                              std::chrono::milliseconds(100),

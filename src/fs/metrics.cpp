@@ -62,6 +62,11 @@ void write_timing_fields(std::ostream& os, double busy, double blocked_in,
   jnum(os, finish);
 }
 
+/// Copy skew above which the verdict reports the bound filter as
+/// imbalanced: its straggler runs over a fifth longer than even work per
+/// copy would take.
+constexpr double kImbalancedSkew = 1.2;
+
 }  // namespace
 
 BottleneckReport analyze_bottleneck(const RunStats& stats) {
@@ -88,6 +93,15 @@ BottleneckReport analyze_bottleneck(const RunStats& stats) {
   }
 
   for (FilterMetrics& f : r.filters) {
+    double busy_max = 0.0;
+    for (const CopyStats& c : stats.copies) {
+      if (c.filter == f.filter && c.busy_seconds > busy_max) {
+        busy_max = c.busy_seconds;
+        f.straggler_copy = c.copy;
+      }
+    }
+    const double busy_mean = f.busy_seconds / f.copies;
+    f.busy_max_over_mean = busy_mean > 0.0 ? busy_max / busy_mean : 1.0;
     const double span = r.makespan * f.copies;
     f.utilization = span > 0.0 ? f.busy_seconds / span : 0.0;
     f.output_stall_fraction = span > 0.0 ? f.blocked_output_seconds / span : 0.0;
@@ -101,11 +115,28 @@ BottleneckReport analyze_bottleneck(const RunStats& stats) {
     }
   }
 
-  // Verdict: who is the bound stage, and is the rest of the pipeline
+  // Verdict: who is the bound stage, are its copies balanced (imbalanced:
+  // the straggler is busy for at least half the run and over
+  // kImbalancedSkew x the mean copy), and is the rest of the pipeline
   // backpressured on it (the paper Fig. 9 / Fig. 7(b) plateau analysis)?
+  const auto bound = std::find_if(r.filters.begin(), r.filters.end(),
+                                  [&](const FilterMetrics& f) {
+                                    return f.filter == r.bound_filter;
+                                  });
+  const bool imbalanced =
+      bound != r.filters.end() && bound->busy_max_over_mean > kImbalancedSkew &&
+      bound->utilization * bound->busy_max_over_mean >= 0.5;
+
   std::ostringstream v;
   if (r.filters.empty() || r.makespan <= 0.0) {
     v << "no data";
+  } else if (imbalanced) {
+    // The other copies idle while the straggler finishes, so more copies
+    // would only idle too. Ranks ahead of every "add copies" advice.
+    v << r.bound_filter << "-bound but imbalanced: copy " << bound->straggler_copy
+      << " was busy " << fmt(bound->busy_max_over_mean, 2) << "x the mean of "
+      << bound->copies << " copies; balance the work per copy (chunk sizes, routing) "
+      << "before adding " << r.bound_filter << " copies";
   } else if (r.bound_utilization < 0.5) {
     v << "balanced: no filter dominates (max utilization "
       << fmt(r.bound_utilization * 100, 1) << "% at " << r.bound_filter
@@ -135,14 +166,16 @@ void print_bottleneck_report(std::ostream& os, const BottleneckReport& report) {
   os << "  " << std::left << std::setw(10) << "filter" << std::right << std::setw(7)
      << "copies" << std::setw(10) << "busy(s)" << std::setw(7) << "util" << std::setw(11)
      << "blk-in(s)" << std::setw(12) << "blk-out(s)" << std::setw(10) << "stall(s)"
-     << std::setw(7) << "max-q" << std::setw(12) << "bytes-out" << "\n";
+     << std::setw(7) << "max-q" << std::setw(12) << "bytes-out" << std::setw(7) << "skew"
+     << std::setw(7) << "strag" << "\n";
   for (const FilterMetrics& f : report.filters) {
     os << "  " << std::left << std::setw(10) << f.filter << std::right << std::setw(7)
        << f.copies << std::setw(10) << fmt(f.busy_seconds) << std::setw(6)
        << fmt(f.utilization * 100, 0) << "%" << std::setw(11)
        << fmt(f.blocked_input_seconds) << std::setw(12) << fmt(f.blocked_output_seconds)
        << std::setw(10) << fmt(f.enqueue_stall_seconds) << std::setw(7) << f.max_inbox
-       << std::setw(12) << f.meter.bytes_out << "\n";
+       << std::setw(12) << f.meter.bytes_out << std::setw(7)
+       << fmt(f.busy_max_over_mean, 2) << std::setw(7) << f.straggler_copy << "\n";
   }
   if (!report.dominant_stream_filter.empty()) {
     os << "  dominant stream: " << report.dominant_stream_filter << " emits "
@@ -169,6 +202,9 @@ void write_metrics_object(std::ostream& os, const RunStats& stats,
     jnum(os, f.utilization);
     os << ", \"output_stall_fraction\": ";
     jnum(os, f.output_stall_fraction);
+    os << ", \"busy_max_over_mean\": ";
+    jnum(os, f.busy_max_over_mean);
+    os << ", \"straggler_copy\": " << f.straggler_copy;
     os << ", \"meter\": ";
     write_meter_object(os, f.meter);
     os << "}";

@@ -3,7 +3,7 @@
 // Aggregates the per-copy statistics of a run (either executor) into a
 // per-filter table, derives the bottleneck verdict the paper's Fig. 9
 // analysis is about (which stage is the bound, is the pipeline backpressured
-// on it), and serializes everything as JSON ("h4d-metrics-v1") or CSV.
+// on it, are its copies balanced), and serializes everything as JSON ("h4d-metrics-v1") or CSV.
 // Every WorkMeter counter is exported by name via WorkMeter::kFieldNames, so
 // the export can never lag the meter. Field reference: docs/OBSERVABILITY.md.
 #pragma once
@@ -37,6 +37,11 @@ struct FilterMetrics {
   /// blocked_output / (copies * makespan): fraction of the run the copies
   /// spent backpressured by downstream consumers.
   double output_stall_fraction = 0.0;
+  /// Copy skew: the busiest copy's busy time over the mean over copies (1
+  /// when the copies did equal work, or did none). Above 1 the other copies
+  /// sat idle while the straggler finished.
+  double busy_max_over_mean = 1.0;
+  int straggler_copy = 0;  ///< copy index with the most busy time
 };
 
 struct BottleneckReport {

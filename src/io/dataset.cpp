@@ -153,46 +153,60 @@ DatasetMeta DatasetMeta::load(const std::filesystem::path& root) {
   return m;
 }
 
-StorageNodeReader::StorageNodeReader(std::filesystem::path node_dir, DatasetMeta meta,
-                                     int node_id)
-    : dir_(std::move(node_dir)), meta_(meta), node_id_(node_id) {
-  const std::string index = (dir_ / kIndexFileName).string();
+NodeIndex parse_node_index(const std::filesystem::path& index, const DatasetMeta& meta) {
   std::ifstream idx(index);
-  if (!idx) throw std::runtime_error("cannot read index " + index);
-  // Line format: "<t> <z> <filename> [<crc32-hex>]". The checksum column was
-  // added later; indexes without it stay readable (has_crc == false). A line
-  // that breaks the grammar fails naming the index file and line number.
+  if (!idx) throw std::runtime_error("cannot read index " + index.string());
+  NodeIndex parsed;
   std::set<std::int64_t> seen;
   std::string line;
   for (int lineno = 1; std::getline(idx, line); ++lineno) {
     if (line.empty()) continue;
     const auto bad = [&](const std::string& why) {
-      return std::runtime_error(index + ":" + std::to_string(lineno) + ": " + why + ": " +
-                                line);
+      parsed.errors.push_back(index.string() + ":" + std::to_string(lineno) + ": " + why +
+                              ": " + line);
     };
     std::istringstream is(line);
     SliceRef s;
-    if (!(is >> s.t >> s.z >> s.filename)) throw bad("malformed index line");
-    if (!is_basename(s.filename)) throw bad("slice filename must be a basename");
-    if (s.t < 0 || s.t >= meta_.dims[3] || s.z < 0 || s.z >= meta_.dims[2]) {
-      throw bad("t/z outside dataset dims " + meta_.dims.str());
+    if (!(is >> s.t >> s.z >> s.filename)) {
+      bad("malformed index line");
+      continue;
     }
-    if (!seen.insert(meta_.slice_number(s.z, s.t)).second) {
-      throw bad("duplicate entry for slice t=" + std::to_string(s.t) +
-                ", z=" + std::to_string(s.z));
+    if (!is_basename(s.filename)) {
+      bad("slice filename must be a basename");
+      continue;
+    }
+    if (s.t < 0 || s.t >= meta.dims[3] || s.z < 0 || s.z >= meta.dims[2]) {
+      bad("t/z outside dataset dims " + meta.dims.str());
+      continue;
     }
     std::string crc_hex;
     if (is >> crc_hex) {
       if (crc_hex.size() > 8 ||
           !std::all_of(crc_hex.begin(), crc_hex.end(),
                        [](unsigned char c) { return std::isxdigit(c) != 0; })) {
-        throw bad("checksum must be 1-8 hex digits");
+        bad("checksum must be 1-8 hex digits");
+        continue;
       }
       s.crc = static_cast<std::uint32_t>(std::stoul(crc_hex, nullptr, 16));
       s.has_crc = true;
     }
-    slices_.push_back(std::move(s));
+    if (!seen.insert(meta.slice_number(s.z, s.t)).second) {
+      bad("duplicate entry for slice t=" + std::to_string(s.t) +
+          ", z=" + std::to_string(s.z));
+      continue;
+    }
+    parsed.slices.push_back(std::move(s));
   }
+  return parsed;
+}
+
+StorageNodeReader::StorageNodeReader(std::filesystem::path node_dir, DatasetMeta meta,
+                                     int node_id)
+    : dir_(std::move(node_dir)), meta_(meta), node_id_(node_id) {
+  NodeIndex parsed = parse_node_index(dir_ / kIndexFileName, meta_);
+  // A reader trusts nothing in an index that breaks the grammar.
+  if (!parsed.errors.empty()) throw std::runtime_error(parsed.errors.front());
+  slices_ = std::move(parsed.slices);
 }
 
 const SliceRef* StorageNodeReader::find_slice(std::int64_t t, std::int64_t z) const {

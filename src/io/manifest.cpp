@@ -145,12 +145,7 @@ ChunkCompletionTracker::ChunkCompletionTracker(
     const Vec4& roi_dims, std::int64_t samples_per_origin,
     std::shared_ptr<ChunkManifest> manifest,
     const std::unordered_set<std::int64_t>& completed)
-    : manifest_(std::move(manifest)) {
-  const Region4 origins = roi_origin_region(dims, roi_dims);
-  for (int d = 0; d < kDims; ++d) {
-    step_[d] = chunk_dims[d] - roi_dims[d] + 1;
-    grid_[d] = (origins.size[d] + step_[d] - 1) / step_[d];
-  }
+    : grid_(dims, chunk_dims, roi_dims), manifest_(std::move(manifest)) {
   remaining_.resize(chunks.size(), 0);
   for (const Chunk& c : chunks) {
     const auto idx = static_cast<std::size_t>(c.id);
@@ -163,16 +158,8 @@ ChunkCompletionTracker::ChunkCompletionTracker(
   }
 }
 
-std::int64_t ChunkCompletionTracker::chunk_of(const Vec4& origin) const {
-  std::int64_t id = 0;
-  for (int d = kDims - 1; d >= 0; --d) {
-    id = id * grid_[d] + origin[d] / step_[d];
-  }
-  return id;
-}
-
 void ChunkCompletionTracker::note_origin(const Vec4& origin) {
-  const std::int64_t id = chunk_of(origin);
+  const std::int64_t id = grid_.chunk_of(origin);
   std::lock_guard lk(mu_);
   if (id < 0 || static_cast<std::size_t>(id) >= remaining_.size()) return;
   auto& left = remaining_[static_cast<std::size_t>(id)];

@@ -75,9 +75,9 @@ class ChunkManifest {
 ///
 /// FeatureValues buffers do not carry a chunk id (the emitters batch samples
 /// across chunk boundaries per feature), so completion is derived from the
-/// chunk grid: the chunk owning origin o has grid coordinate o / step per
-/// dimension. Expected samples per chunk = owned_origins.volume() x the
-/// number of features the run emits.
+/// chunk grid: ChunkGrid::chunk_of, the lookup the partition itself uses,
+/// names the chunk owning each origin. Expected samples per chunk =
+/// owned_origins.volume() x the number of features the run emits.
 class ChunkCompletionTracker {
  public:
   /// `chunks` is the full overlapping partition (before any resume pruning);
@@ -95,10 +95,7 @@ class ChunkCompletionTracker {
   std::int64_t chunks_completed() const;
 
  private:
-  std::int64_t chunk_of(const Vec4& origin) const;
-
-  Vec4 step_;
-  Vec4 grid_;
+  ChunkGrid grid_;
   std::shared_ptr<ChunkManifest> manifest_;
   mutable std::mutex mu_;
   std::vector<std::int64_t> remaining_;  ///< samples until complete, per id

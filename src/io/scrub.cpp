@@ -17,17 +17,12 @@ namespace {
 
 using SliceKey = std::pair<std::int64_t, std::int64_t>;  // (t, z)
 
-struct IndexEntry {
-  std::string filename;
-  std::uint32_t crc = 0;
-  bool has_crc = false;
-};
-
 /// One node's on-disk state as found (not as it should be).
 struct NodeState {
   bool dir_exists = false;
   bool index_exists = false;
-  std::map<SliceKey, IndexEntry> entries;
+  std::map<SliceKey, SliceRef> entries;  ///< index lines that keep the grammar
+  std::vector<std::string> index_errors;  ///< one per line that breaks it
 };
 
 std::string crc_hex(std::uint32_t crc) {
@@ -45,26 +40,17 @@ std::vector<NodeState> load_nodes(const std::filesystem::path& root,
     std::error_code ec;
     state.dir_exists = std::filesystem::is_directory(dir, ec);
     if (!state.dir_exists) continue;
-    std::ifstream idx(dir / kIndexFileName);
-    state.index_exists = static_cast<bool>(idx);
-    std::string line;
-    while (std::getline(idx, line)) {
-      if (line.empty()) continue;
-      std::istringstream is(line);
-      std::int64_t t = 0, z = 0;
-      IndexEntry e;
-      if (!(is >> t >> z >> e.filename)) continue;  // malformed line: a finding later
-      std::string hex;
-      if (is >> hex) {
-        try {
-          e.crc = static_cast<std::uint32_t>(std::stoul(hex, nullptr, 16));
-          e.has_crc = true;
-        } catch (const std::exception&) {
-          // unreadable checksum column: treat as absent
-        }
-      }
-      state.entries[{t, z}] = std::move(e);
+    // The readers' strict grammar: a line they would refuse is a defect here,
+    // never an entry (a "../node_1/..." filename must not be followed).
+    NodeIndex index;
+    try {
+      index = parse_node_index(dir / kIndexFileName, meta);
+    } catch (const std::runtime_error&) {
+      continue;  // no readable index: reported as missing
     }
+    state.index_exists = true;
+    for (SliceRef& e : index.slices) state.entries[{e.t, e.z}] = std::move(e);
+    state.index_errors = std::move(index.errors);
   }
   return nodes;
 }
@@ -100,7 +86,7 @@ std::optional<std::vector<std::uint8_t>> read_copy(const std::filesystem::path& 
 /// the t-major order DiskDataset::create uses. Slices absent from `entries`
 /// (unrepairable) are omitted.
 std::string render_index(const DatasetMeta& meta, int node,
-                         const std::map<SliceKey, IndexEntry>& entries) {
+                         const std::map<SliceKey, SliceRef>& entries) {
   std::ostringstream os;
   for (std::int64_t t = 0; t < meta.dims[3]; ++t) {
     for (std::int64_t z = 0; z < meta.dims[2]; ++z) {
@@ -146,6 +132,7 @@ std::string_view scrub_defect_name(ScrubDefect d) {
   switch (d) {
     case ScrubDefect::MissingNodeDir: return "missing_node_dir";
     case ScrubDefect::MissingIndex: return "missing_index";
+    case ScrubDefect::InvalidIndexLine: return "invalid_index_line";
     case ScrubDefect::IndexEntryMissing: return "index_entry_missing";
     case ScrubDefect::MissingCopy: return "missing_copy";
     case ScrubDefect::SizeMismatch: return "size_mismatch";
@@ -204,6 +191,9 @@ ScrubReport scrub_dataset(const std::filesystem::path& root) {
     } else if (!state.index_exists) {
       report.findings.push_back({-1, -1, n, -1, ScrubDefect::MissingIndex,
                                  (root / node_dir_name(n) / kIndexFileName).string()});
+    }
+    for (const std::string& e : state.index_errors) {
+      report.findings.push_back({-1, -1, n, -1, ScrubDefect::InvalidIndexLine, e});
     }
   }
 
@@ -297,14 +287,16 @@ RepairReport repair_dataset(const std::filesystem::path& root) {
   const std::int64_t slice_bytes = meta.slice_bytes();
 
   RepairReport report;
-  std::vector<std::map<SliceKey, IndexEntry>> final_entries(
+  std::vector<std::map<SliceKey, SliceRef>> final_entries(
       static_cast<std::size_t>(meta.storage_nodes));
   std::vector<bool> dirty(static_cast<std::size_t>(meta.storage_nodes), false);
   for (int n = 0; n < meta.storage_nodes; ++n) {
     final_entries[static_cast<std::size_t>(n)] = nodes[static_cast<std::size_t>(n)].entries;
-    // A lost directory or index is rewritten even if no entry changes below.
+    // A lost directory or index, or one with lines that break the grammar,
+    // is rewritten even if no entry changes below.
     if (!nodes[static_cast<std::size_t>(n)].dir_exists ||
-        !nodes[static_cast<std::size_t>(n)].index_exists) {
+        !nodes[static_cast<std::size_t>(n)].index_exists ||
+        !nodes[static_cast<std::size_t>(n)].index_errors.empty()) {
       dirty[static_cast<std::size_t>(n)] = true;
     }
   }
@@ -313,7 +305,7 @@ RepairReport repair_dataset(const std::filesystem::path& root) {
     for (std::int64_t z = 0; z < meta.dims[2]; ++z) {
       struct Copy {
         int node = -1;
-        const IndexEntry* entry = nullptr;
+        const SliceRef* entry = nullptr;
         std::optional<std::vector<std::uint8_t>> bytes;
         std::uint32_t crc = 0;
       };
@@ -387,7 +379,7 @@ RepairReport repair_dataset(const std::filesystem::path& root) {
                               (!c.entry->has_crc || c.entry->crc == good->crc);
         if (!entry_ok) {
           final_entries[static_cast<std::size_t>(c.node)][{t, z}] =
-              IndexEntry{slice_filename(t, z), good->crc, true};
+              SliceRef{t, z, slice_filename(t, z), good->crc, true};
           dirty[static_cast<std::size_t>(c.node)] = true;
         }
       }
@@ -415,7 +407,7 @@ ChecksumMigrationReport add_checksums(const std::filesystem::path& root) {
   const std::int64_t slice_bytes = meta.slice_bytes();
 
   ChecksumMigrationReport report;
-  std::vector<std::map<SliceKey, IndexEntry>> final_entries(
+  std::vector<std::map<SliceKey, SliceRef>> final_entries(
       static_cast<std::size_t>(meta.storage_nodes));
   std::vector<bool> dirty(static_cast<std::size_t>(meta.storage_nodes), false);
   for (int n = 0; n < meta.storage_nodes; ++n) {
@@ -475,7 +467,7 @@ ChecksumMigrationReport add_checksums(const std::filesystem::path& root) {
         const NodeState& state = nodes[static_cast<std::size_t>(node)];
         const auto it = state.entries.find({t, z});
         if (it == state.entries.end() || it->second.has_crc) continue;
-        IndexEntry e = it->second;
+        SliceRef e = it->second;
         e.crc = *agreed;
         e.has_crc = true;
         final_entries[static_cast<std::size_t>(node)][{t, z}] = std::move(e);

@@ -29,6 +29,7 @@ namespace h4d::io {
 enum class ScrubDefect {
   MissingNodeDir,     ///< whole storage node directory absent
   MissingIndex,       ///< node directory exists but has no index file
+  InvalidIndexLine,   ///< index line breaks the readers' grammar (not an entry)
   IndexEntryMissing,  ///< node index does not list a slice it should hold
   MissingCopy,        ///< indexed/expected slice file absent
   SizeMismatch,       ///< slice file exists with the wrong byte count

@@ -4,7 +4,9 @@
 // overlapped ROI data is read once (paper Sec. 4.4). Adjacent chunks overlap
 // by (roi - 1) elements per dimension (paper Eqs. 1-2, generalized to 4D), so
 // every ROI is fully contained in exactly one chunk, and each chunk "owns" a
-// disjoint range of ROI origins.
+// disjoint range of ROI origins. The chunk extent is an upper bound: a
+// dimension's origins are split evenly over its chunks, so no chunk is left
+// with only the remainder of a fixed stride.
 #pragma once
 
 #include <cstdint>
@@ -29,7 +31,43 @@ struct Chunk {
   Region4 owned_origins;
 };
 
-/// Overlapping chunk partition of a volume for a given ROI size.
+/// Version of the origin-to-chunk assignment. Chunk ids name different
+/// regions under different schemes, so checkpoint ownership hashes it:
+/// 1 = fixed stride (the last chunk per dimension owned the remainder),
+/// 2 = even split.
+inline constexpr int kPartitionScheme = 2;
+
+/// The chunk grid of an overlapping partition, and the one origin -> chunk
+/// lookup every consumer of chunk ids shares.
+///
+/// Per dimension, the chunk count is the fixed-stride count
+/// ceil(origins / (chunk - roi + 1)); the origins are then split evenly over
+/// those chunks (the first `origins % count` chunks own one more), so owned
+/// sizes differ by at most one and never exceed the stride. When the stride
+/// divides the origins, this is exactly the fixed-stride partition.
+///
+/// Throws std::invalid_argument when roi or chunk sizes are infeasible
+/// (roi > dims, chunk < roi, non-positive entries).
+class ChunkGrid {
+ public:
+  ChunkGrid(const Vec4& dims, const Vec4& chunk_dims, const Vec4& roi_dims);
+
+  /// Number of chunks per dimension.
+  const Vec4& shape() const { return shape_; }
+  /// ROI origins owned by the chunk at grid coordinate `g`.
+  Region4 owned_origins(const Vec4& g) const;
+  /// Id (row-major over the grid, x fastest) of the chunk owning `origin`.
+  std::int64_t chunk_of(const Vec4& origin) const;
+
+ private:
+  Vec4 base_;   ///< origins / shape: what every chunk owns at least
+  Vec4 extra_;  ///< origins % shape: chunks below this index own one more
+  Vec4 shape_;
+};
+
+/// Overlapping chunk partition of a volume for a given ROI size, over the
+/// grid of ChunkGrid: each chunk's region is exactly what its owned ROIs
+/// cover, so it never exceeds `chunk_dims`.
 ///
 /// Throws std::invalid_argument when roi or chunk sizes are infeasible
 /// (roi > dims, chunk < roi, non-positive entries).

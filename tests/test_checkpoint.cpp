@@ -5,6 +5,7 @@
 #include <unistd.h>
 
 #include <algorithm>
+#include <cstring>
 #include <filesystem>
 #include <fstream>
 #include <map>
@@ -269,6 +270,90 @@ TEST_F(CheckpointFixture, ResumedRunIsByteIdenticalAndPlansStrictlyFewerChunks) 
   for (const auto& [slug, map] : ref) {
     ASSERT_TRUE(resumed.count(slug)) << slug;
     EXPECT_EQ(resumed.at(slug), map) << slug;  // exact float equality
+  }
+}
+
+TEST_F(CheckpointFixture, ResumeOnRaggedGridIsByteIdentical) {
+  // 42 ROI origins in x at stride 26 (and 14 at stride 8 in y, 4 at stride 3
+  // in z): the even split gives owned sizes 21/21, 7/7 and 2/2 where a fixed
+  // stride gave 26/16, 8/6 and 3/1, so the tracker must map origins to
+  // chunks exactly as the partition assigns them.
+  io::PhantomConfig pcfg;
+  pcfg.dims = {46, 18, 6, 5};
+  pcfg.num_tumors = 1;
+  pcfg.seed = 5;
+  const fsys::path ds = root_ / "ds";
+  io::DiskDataset::create(ds, io::generate_phantom(pcfg).volume, 2);
+
+  core::PipelineConfig cfg;
+  cfg.dataset_root = ds;
+  cfg.engine.roi_dims = {5, 5, 3, 3};
+  cfg.engine.num_levels = 16;
+  cfg.engine.features = haralick::FeatureSet::paper_eval();
+  cfg.texture_chunk = {30, 12, 5, 4};
+  cfg.rfr_copies = 2;
+  cfg.variant = core::Variant::HMP;
+  cfg.hmp_copies = 3;
+  cfg.output = core::OutputMode::Unstitched;
+  const Region4 origins = roi_origin_region(pcfg.dims, cfg.engine.roi_dims);
+  ASSERT_EQ(origins.size, Vec4(42, 14, 4, 3));
+
+  cfg.output_dir = root_ / "outA";
+  cfg.checkpoint_path = root_ / "ckA.txt";
+  auto paramsA = core::make_params(cfg);
+  ASSERT_EQ(paramsA->chunks.size(), 16u);
+  for (const Chunk& c : paramsA->chunks) {
+    EXPECT_EQ(c.owned_origins.size[0], 21);
+    EXPECT_EQ(c.owned_origins.size[1], 7);
+    EXPECT_EQ(c.owned_origins.size[2], 2);
+  }
+  fs::run_threaded(core::build_pipeline(cfg, paramsA, nullptr));
+  const auto all_ids = ChunkManifest::load(cfg.checkpoint_path);
+  ASSERT_EQ(all_ids.size(), paramsA->chunks.size());
+  const auto ref = assemble(cfg.output_dir, origins);
+
+  // Kill after the first K recorded chunks: the manifest keeps its header and
+  // those records, the output dir exactly those chunks' samples.
+  const std::size_t K = 5;
+  const std::unordered_set<std::int64_t> completed(all_ids.begin(), all_ids.begin() + K);
+  const fsys::path ckB = root_ / "ckB.txt";
+  {
+    std::ifstream in(cfg.checkpoint_path);
+    std::ofstream out(ckB);
+    std::string line;
+    for (std::size_t kept = 0; kept < K && std::getline(in, line);) {
+      out << line << "\n";
+      if (line.rfind("owner ", 0) != 0) ++kept;
+    }
+  }
+  const fsys::path outB = root_ / "outB";
+  fsys::create_directories(outB);
+  const ChunkGrid grid(pcfg.dims, cfg.texture_chunk, cfg.engine.roi_dims);
+  for (const auto& e : fsys::directory_iterator(cfg.output_dir)) {
+    std::ifstream in(e.path(), std::ios::binary);
+    std::ofstream out(outB / e.path().filename(), std::ios::binary);
+    filters::FeatureSample s;
+    while (in.read(reinterpret_cast<char*>(&s), sizeof s)) {
+      if (completed.count(grid.chunk_of(s.origin()))) {
+        out.write(reinterpret_cast<const char*>(&s), sizeof s);
+      }
+    }
+  }
+
+  core::PipelineConfig cfg2 = cfg;
+  cfg2.output_dir = outB;
+  cfg2.checkpoint_path = ckB;
+  cfg2.resume = true;
+  auto paramsB = core::make_params(cfg2);
+  EXPECT_EQ(paramsB->chunks_resumed, static_cast<std::int64_t>(K));
+  fs::run_threaded(core::build_pipeline(cfg2, paramsB, nullptr));
+  EXPECT_EQ(ChunkManifest::load(ckB).size(), all_ids.size());
+  const auto resumed = assemble(outB, origins);
+  ASSERT_EQ(resumed.size(), ref.size());
+  for (const auto& [slug, map] : ref) {
+    ASSERT_TRUE(resumed.count(slug)) << slug;
+    EXPECT_EQ(0, std::memcmp(resumed.at(slug).data(), map.data(), map.size() * sizeof(float)))
+        << slug;  // byte-identical
   }
 }
 

@@ -2,7 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <map>
+#include <random>
 
 #include "nd/raster.hpp"
 
@@ -101,6 +103,140 @@ TEST(PartitionOverlapping, IdsAreSequentialRasterOrder) {
   const auto chunks = partition_overlapping({16, 16, 4, 4}, {8, 8, 4, 4}, {3, 3, 2, 2});
   for (std::size_t i = 0; i < chunks.size(); ++i) {
     EXPECT_EQ(chunks[i].id, static_cast<std::int64_t>(i));
+  }
+}
+
+// The fixed-stride partition the even split replaced: chunk g owns origins
+// from g * step, and the last chunk per dimension owns the remainder.
+std::vector<Chunk> fixed_stride_partition(const Vec4& dims, const Vec4& chunk_dims,
+                                          const Vec4& roi) {
+  const Region4 origins = roi_origin_region(dims, roi);
+  Vec4 step, grid;
+  for (int d = 0; d < kDims; ++d) {
+    step[d] = chunk_dims[d] - roi[d] + 1;
+    grid[d] = (origins.size[d] + step[d] - 1) / step[d];
+  }
+  std::vector<Chunk> chunks;
+  for (const Vec4& g : raster(Region4::whole(grid))) {
+    Chunk c;
+    c.id = static_cast<std::int64_t>(chunks.size());
+    c.grid = g;
+    for (int d = 0; d < kDims; ++d) {
+      c.owned_origins.origin[d] = g[d] * step[d];
+      c.owned_origins.size[d] = std::min(step[d], origins.size[d] - g[d] * step[d]);
+      c.region.origin[d] = c.owned_origins.origin[d];
+      c.region.size[d] = c.owned_origins.size[d] + roi[d] - 1;
+    }
+    chunks.push_back(c);
+  }
+  return chunks;
+}
+
+struct Shape {
+  Vec4 dims, chunk, roi;
+};
+
+/// Random feasible (dims, chunk, roi) triples: small enough to enumerate
+/// every origin, with ragged and evenly dividing strides both common.
+std::vector<Shape> random_shapes(std::uint32_t seed, int count) {
+  std::mt19937 rng(seed);
+  const auto pick = [&](std::int64_t lo, std::int64_t hi) {
+    return std::uniform_int_distribution<std::int64_t>(lo, hi)(rng);
+  };
+  std::vector<Shape> shapes;
+  for (int i = 0; i < count; ++i) {
+    Shape s;
+    for (int d = 0; d < kDims; ++d) {
+      s.roi[d] = pick(1, 4);
+      s.dims[d] = s.roi[d] + pick(0, d < 2 ? 20 : 6);
+      s.chunk[d] = pick(s.roi[d], s.dims[d] + 2);
+    }
+    shapes.push_back(s);
+  }
+  return shapes;
+}
+
+TEST(PartitionOverlapping, EvenSplitPropertiesOnRandomShapes) {
+  for (const Shape& s : random_shapes(20261018, 200)) {
+    SCOPED_TRACE("dims " + s.dims.str() + " chunk " + s.chunk.str() + " roi " + s.roi.str());
+    const auto chunks = partition_overlapping(s.dims, s.chunk, s.roi);
+    // Same chunk count as the fixed stride: --chunk keeps its meaning.
+    ASSERT_EQ(chunks.size(), fixed_stride_partition(s.dims, s.chunk, s.roi).size());
+    for (int d = 0; d < kDims; ++d) {
+      std::int64_t lo = s.dims[d], hi = 0;
+      for (const Chunk& c : chunks) {
+        lo = std::min(lo, c.owned_origins.size[d]);
+        hi = std::max(hi, c.owned_origins.size[d]);
+      }
+      EXPECT_LE(hi - lo, 1) << "dim " << d;
+      EXPECT_LE(hi, s.chunk[d] - s.roi[d] + 1) << "dim " << d;
+    }
+    for (const Chunk& c : chunks) {
+      EXPECT_TRUE(c.region.size.all_le(s.chunk)) << c.region.str();
+    }
+    check_partition(s.dims, s.chunk, s.roi);  // disjoint, covering, ROIs fit
+  }
+}
+
+TEST(PartitionOverlapping, IdenticalToFixedStrideWhenStrideDivides) {
+  // Shapes built so the stride divides the origins in every dimension.
+  std::mt19937 rng(7);
+  const auto pick = [&](std::int64_t lo, std::int64_t hi) {
+    return std::uniform_int_distribution<std::int64_t>(lo, hi)(rng);
+  };
+  for (int i = 0; i < 200; ++i) {
+    Shape s;
+    for (int d = 0; d < kDims; ++d) {
+      s.roi[d] = pick(1, 4);
+      const std::int64_t step = pick(1, d < 2 ? 8 : 3);
+      s.chunk[d] = step + s.roi[d] - 1;
+      s.dims[d] = pick(1, 4) * step + s.roi[d] - 1;
+    }
+    SCOPED_TRACE("dims " + s.dims.str() + " chunk " + s.chunk.str() + " roi " + s.roi.str());
+    const auto even = partition_overlapping(s.dims, s.chunk, s.roi);
+    const auto fixed = fixed_stride_partition(s.dims, s.chunk, s.roi);
+    ASSERT_EQ(even.size(), fixed.size());
+    for (std::size_t c = 0; c < even.size(); ++c) {
+      EXPECT_EQ(even[c].id, fixed[c].id);
+      EXPECT_EQ(even[c].grid, fixed[c].grid);
+      EXPECT_EQ(even[c].region, fixed[c].region);
+      EXPECT_EQ(even[c].owned_origins, fixed[c].owned_origins);
+    }
+  }
+  // The benchmark's evenly dividing grids, named.
+  for (const Shape& s : {Shape{{48, 48, 8, 8}, {27, 27, 5, 5}, {7, 7, 3, 3}},
+                         Shape{{128, 128, 16, 16}, {16, 16, 4, 4}, {3, 3, 3, 3}}}) {
+    const auto even = partition_overlapping(s.dims, s.chunk, s.roi);
+    const auto fixed = fixed_stride_partition(s.dims, s.chunk, s.roi);
+    ASSERT_EQ(even.size(), fixed.size());
+    for (std::size_t i = 0; i < even.size(); ++i) {
+      EXPECT_EQ(even[i].region, fixed[i].region);
+      EXPECT_EQ(even[i].owned_origins, fixed[i].owned_origins);
+    }
+  }
+}
+
+TEST(PartitionOverlapping, RaggedGridSplitsEvenly) {
+  // 42 origins per spatial dim at stride 26: two chunks of 21, not 26 + 16.
+  const auto chunks = partition_overlapping({48, 48, 8, 8}, {32, 32, 6, 6}, {7, 7, 3, 3});
+  ASSERT_EQ(chunks.size(), 16u);
+  for (const Chunk& c : chunks) {
+    EXPECT_EQ(c.owned_origins.size, Vec4(21, 21, 3, 3));
+    EXPECT_EQ(c.region.size, Vec4(27, 27, 5, 5));
+  }
+}
+
+TEST(ChunkGrid, ChunkOfNamesTheOwningChunk) {
+  for (const Shape& s : random_shapes(99, 200)) {
+    SCOPED_TRACE("dims " + s.dims.str() + " chunk " + s.chunk.str() + " roi " + s.roi.str());
+    const ChunkGrid grid(s.dims, s.chunk, s.roi);
+    const auto chunks = partition_overlapping(s.dims, s.chunk, s.roi);
+    ASSERT_EQ(grid.shape().volume(), static_cast<std::int64_t>(chunks.size()));
+    for (const Chunk& c : chunks) {
+      for (const Vec4& o : raster(c.owned_origins)) {
+        ASSERT_EQ(grid.chunk_of(o), c.id) << "origin " << o.str();
+      }
+    }
   }
 }
 

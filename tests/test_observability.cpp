@@ -316,5 +316,48 @@ TEST(Bottleneck, BalancedGraphGetsBalancedVerdict) {
   EXPECT_NE(report.verdict.find("balanced"), std::string::npos);
 }
 
+/// A run of one four-copy "HMP" filter with the given per-copy busy times.
+RunStats four_copy_run(const std::vector<double>& busy, double makespan) {
+  RunStats stats;
+  stats.total_seconds = makespan;
+  for (std::size_t i = 0; i < busy.size(); ++i) {
+    CopyStats c;
+    c.filter = "HMP";
+    c.copy = static_cast<int>(i);
+    c.busy_seconds = busy[i];
+    c.finish_time = busy[i];
+    stats.copies.push_back(c);
+  }
+  return stats;
+}
+
+TEST(Bottleneck, SkewedCopiesGetImbalancedVerdictNotAddCopies) {
+  // Copy 2 does twice the work of the others: the makespan follows it while
+  // the rest idle, so "add copies" would be the wrong advice.
+  const RunStats stats = four_copy_run({1.0, 1.0, 2.0, 1.0}, 2.05);
+  const BottleneckReport report = analyze_bottleneck(stats);
+  ASSERT_EQ(report.filters.size(), 1u);
+  EXPECT_NEAR(report.filters[0].busy_max_over_mean, 1.6, 1e-9);
+  EXPECT_EQ(report.filters[0].straggler_copy, 2);
+  EXPECT_NE(report.verdict.find("imbalanced"), std::string::npos) << report.verdict;
+  EXPECT_EQ(report.verdict.find("should help"), std::string::npos) << report.verdict;
+
+  std::ostringstream os;
+  write_metrics_object(os, stats, report);
+  const json::Value doc = json::parse(os.str());
+  EXPECT_NEAR(doc.at("filters").array.at(0).at("busy_max_over_mean").num(), 1.6, 1e-6);
+  EXPECT_EQ(doc.at("filters").array.at(0).at("straggler_copy").num(), 2);
+}
+
+TEST(Bottleneck, EvenCopiesKeepTheAddCopiesVerdict) {
+  const RunStats stats = four_copy_run({1.9, 2.0, 1.95, 1.9}, 2.05);
+  const BottleneckReport report = analyze_bottleneck(stats);
+  EXPECT_LT(report.filters[0].busy_max_over_mean, 1.2);
+  EXPECT_EQ(report.filters[0].straggler_copy, 1);
+  EXPECT_EQ(report.verdict.find("imbalanced"), std::string::npos) << report.verdict;
+  EXPECT_NE(report.verdict.find("adding HMP copies should help"), std::string::npos)
+      << report.verdict;
+}
+
 }  // namespace
 }  // namespace h4d::fs

@@ -7,6 +7,7 @@
 
 #include <filesystem>
 #include <fstream>
+#include <functional>
 #include <random>
 #include <sstream>
 
@@ -64,6 +65,41 @@ class ScrubRepairTest : public ::testing::Test {
     in.close();
     std::ofstream out(index, std::ios::trunc);
     out << kept.str();
+  }
+
+  /// Rewrite node `node`'s index through `edit` (whole file in, whole out).
+  void edit_index(int node, const std::function<std::string(const std::string&)>& edit) {
+    const fsys::path index = root_ / node_dir_name(node) / kIndexFileName;
+    std::ostringstream text;
+    text << std::ifstream(index).rdbuf();
+    std::ofstream(index, std::ios::trunc) << edit(text.str());
+  }
+
+  /// One index line that breaks `rule`: the scrub must count it as an
+  /// invalid-line defect naming the index line, where the old tolerant
+  /// reader skipped it or followed it; repair must rewrite the index so the
+  /// next scrub is clean and every copy intact.
+  void expect_invalid_line_repaired(const std::string& rule, int lineno) {
+    const ScrubReport before = scrub_dataset(root_);
+    EXPECT_FALSE(before.clean());
+    int invalid = 0;
+    for (const ScrubFinding& f : before.findings) {
+      if (f.kind != ScrubDefect::InvalidIndexLine) continue;
+      ++invalid;
+      EXPECT_EQ(f.node, 0);
+      EXPECT_NE(f.detail.find("index.txt:" + std::to_string(lineno) + ": " + rule),
+                std::string::npos)
+          << f.detail;
+    }
+    EXPECT_EQ(invalid, 1) << before.summary();
+
+    const RepairReport repair = repair_dataset(root_);
+    EXPECT_TRUE(repair.complete()) << repair.summary();
+    EXPECT_GE(repair.indexes_rebuilt, 1);
+    const ScrubReport after = scrub_dataset(root_);
+    EXPECT_TRUE(after.clean()) << after.summary();
+    EXPECT_EQ(after.copies_verified, after.copies_expected);
+    expect_intact();
   }
 
   void expect_intact() {
@@ -232,6 +268,52 @@ TEST_F(ScrubRepairTest, AddChecksumsSkipsDivergentSlices) {
   EXPECT_EQ(mig.slices_divergent, 1);
   // 12 slices, 2 copies each; the divergent slice's 2 entries are skipped.
   EXPECT_EQ(mig.entries_backfilled, 22);
+}
+
+// --- index grammar: one test per rule ---------------------------------------
+//
+// Node 0 of a 3-node, 2-replica dataset holds slices 0, 2, 3, 5, ... (global
+// slice numbers); its first index line is "0 0 slice_t0_z0.raw <crc>".
+
+std::string replace_first_line(const std::string& text, const std::string& line) {
+  return line + text.substr(text.find('\n'));
+}
+
+TEST_F(ScrubRepairTest, IndexLineThatIsMalformedIsADefect) {
+  create(3, 2);
+  edit_index(0, [](const std::string& t) { return t + "not an index line\n"; });
+  expect_invalid_line_repaired("malformed index line", 9);
+}
+
+TEST_F(ScrubRepairTest, IndexFilenameOutsideTheNodeIsADefect) {
+  create(3, 2);
+  // Points node 0's entry for slice (0, 0) into node 1's directory, without a
+  // CRC: the tolerant reader followed it.
+  edit_index(0, [](const std::string& t) {
+    return replace_first_line(t, "0 0 ../node_1/slice_t0_z1.raw");
+  });
+  expect_invalid_line_repaired("slice filename must be a basename", 1);
+}
+
+TEST_F(ScrubRepairTest, IndexSliceOutsideTheDimsIsADefect) {
+  create(3, 2);
+  edit_index(0, [](const std::string& t) { return t + "9 0 slice_t9_z0.raw 1f\n"; });
+  expect_invalid_line_repaired("t/z outside dataset dims", 9);
+}
+
+TEST_F(ScrubRepairTest, DuplicateIndexEntryIsADefect) {
+  create(3, 2);
+  edit_index(0, [](const std::string& t) { return t + t.substr(0, t.find('\n') + 1); });
+  expect_invalid_line_repaired("duplicate entry for slice t=0, z=0", 9);
+}
+
+TEST_F(ScrubRepairTest, UnreadableIndexChecksumIsADefect) {
+  create(3, 2);
+  // The tolerant reader treated an unparsable CRC as absent.
+  edit_index(0, [](const std::string& t) {
+    return replace_first_line(t, "0 0 slice_t0_z0.raw not-hex");
+  });
+  expect_invalid_line_repaired("checksum must be 1-8 hex digits", 1);
 }
 
 }  // namespace

@@ -15,7 +15,9 @@ Event Format subset the runtime emits. Accepted metrics schemas:
                         per-tenant rows, merged meter/exec, per-job rows
 
 Checks structure, types, and the internal invariants: per-filter meter
-aggregates equal the sum over that filter's copies; for jobs exports the
+aggregates equal the sum over that filter's copies; per-filter copy skew
+(busy_max_over_mean >= 1, the max/mean of the copy rows' busy time, and
+straggler_copy < copies); for jobs exports the
 accounting identity submitted = completed + rejected + shed + failed (with
 rejected = rejected_queue_full + rejected_quota + rejected_deadline) plus
 per-job rows consistent with the counters; and for runs that attached the
@@ -252,6 +254,30 @@ def check_micro_object(doc: object, path: str, where: str) -> None:
     require(numeric > 0, path, f"{where}: no numeric metrics")
 
 
+def check_skew(f: dict, busy: list[float], path: str, w: str) -> None:
+    """Copy skew of one filter row: busy_max_over_mean >= 1 and equal to the
+    busiest copy row over the mean copy row; straggler_copy a copy index."""
+    ratio = f.get("busy_max_over_mean")
+    strag = f.get("straggler_copy")
+    copies = f.get("copies")
+    if not require(isinstance(ratio, (int, float)), path,
+                   f"{w}: missing busy_max_over_mean"):
+        return
+    require(ratio >= 1.0 - 1e-9, path, f"{w}: busy_max_over_mean {ratio} < 1")
+    if require(isinstance(strag, int) and not isinstance(strag, bool), path,
+               f"{w}: missing straggler_copy"):
+        require(isinstance(copies, int) and 0 <= strag < copies, path,
+                f"{w}: straggler_copy {strag} not below copies {copies}")
+    mean = sum(busy) / len(busy) if busy else 0.0
+    if mean > 0.0:
+        expected = max(busy) / mean
+        # Busy times are exported to 1 ns; allow for that rounding.
+        tol = 1e-6 * expected + 1e-9 * (1.0 + expected) / mean
+        require(abs(ratio - expected) <= tol, path,
+                f"{w}: busy_max_over_mean {ratio} != max/mean of copy rows "
+                f"({expected})")
+
+
 def check_metrics_object(doc: object, path: str, where: str = "") -> None:
     if not require(isinstance(doc, dict), path, f"{where}: not an object"):
         return
@@ -272,6 +298,7 @@ def check_metrics_object(doc: object, path: str, where: str = "") -> None:
     # Per-copy rows: required keys and types.
     by_filter_sums: dict[str, dict[str, float]] = {}
     by_filter_count: dict[str, int] = {}
+    by_filter_busy: dict[str, list[float]] = {}
     for i, c in enumerate(copies):
         w = f"{where}copies[{i}]"
         if not require(isinstance(c, dict), path, f"{w}: not an object"):
@@ -282,6 +309,8 @@ def check_metrics_object(doc: object, path: str, where: str = "") -> None:
         check_meter(c.get("meter"), path, w)
         name = c.get("filter", "?")
         by_filter_count[name] = by_filter_count.get(name, 0) + 1
+        if isinstance(c.get("busy_seconds"), (int, float)):
+            by_filter_busy.setdefault(name, []).append(c["busy_seconds"])
         sums = by_filter_sums.setdefault(name, {})
         for k, v in (c.get("meter") or {}).items():
             if isinstance(v, (int, float)):
@@ -297,6 +326,7 @@ def check_metrics_object(doc: object, path: str, where: str = "") -> None:
         require(isinstance(f.get("utilization"), (int, float)), path,
                 f"{w}: missing utilization")
         check_meter(f.get("meter"), path, w)
+        check_skew(f, by_filter_busy.get(name, []), path, w)
         if name in by_filter_count:
             require(f.get("copies") == by_filter_count[name], path,
                     f"{w}: copies != number of copy rows for {name}")
