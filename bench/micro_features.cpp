@@ -1,9 +1,9 @@
-// Micro-benchmark of the feature pass (the HFC stage's inner loop): the three
-// reference paths (dense VisitAll, dense SkipZeros, sparse from_dense +
-// compute) against the kernel's fused single sweep, which produces the sparse
-// entry list and all fourteen features in one pass over the non-zero cells.
-// The --json mode also times the whole per-ROI path at the CLI default
-// configuration, kernel against reference.
+// Micro-benchmark of the feature pass (the HFC stage's inner loop): the
+// every-cell VisitAll loop, the entry sweep from a dense matrix (SkipZeros)
+// and from a compressed one (sparse from_dense + compute), and the kernel's
+// fused pass, which reads the entry list off the tile and runs the same
+// sweep. The --json mode also times the whole per-ROI path at the CLI
+// default configuration, kernel against reference.
 //
 // Two modes, matching micro_glcm:
 //   * default: google-benchmark tables;
@@ -73,8 +73,7 @@ void BM_Features_KernelFused(benchmark::State& state) {
   haralick::KernelScratch scratch(32);
   for (auto _ : state) {
     scratch.accumulate(v.view(), roi, dirs);
-    auto fv = scratch.features_fused(haralick::FeatureSet::all(), nullptr, nullptr,
-                                     haralick::SweepMode::Fast);
+    auto fv = scratch.features_fused(haralick::FeatureSet::all());
     benchmark::DoNotOptimize(fv);
   }
 }
@@ -129,12 +128,7 @@ int run_json(const std::string& path) {
   haralick::KernelScratch scratch(32);
   const double fused_e2e_ns = h4d::bench::measure_ns_per_op([&] {
     scratch.accumulate(v.view(), roi, dirs);
-    auto fv = scratch.features_fused(set, nullptr, nullptr, haralick::SweepMode::Fast);
-    benchmark::DoNotOptimize(fv);
-  });
-  const double strict_e2e_ns = h4d::bench::measure_ns_per_op([&] {
-    scratch.accumulate(v.view(), roi, dirs);
-    auto fv = scratch.features_fused(set, nullptr, nullptr, haralick::SweepMode::Strict);
+    auto fv = scratch.features_fused(set);
     benchmark::DoNotOptimize(fv);
   });
 
@@ -142,14 +136,13 @@ int run_json(const std::string& path) {
                   {{"ns_per_roi", ref_e2e_ns}, {"nnz", nnz}}});
   runs.push_back({"roi_kernel_fused/" + config,
                   {{"ns_per_roi", fused_e2e_ns}, {"nnz", nnz}}});
-  runs.push_back({"roi_kernel_fused_strict/" + config,
-                  {{"ns_per_roi", strict_e2e_ns}, {"nnz", nnz}}});
 
   // The CLI default configuration (4D ROI 7x7x3x3, all 40 unique 4D
   // directions, Ng 32, paper features, Full representation, SkipZeros):
   // reference build + dense feature pass against exactly what analyze_chunk
-  // does per ROI there (kernel accumulate, fold into a dense matrix, dense
-  // feature pass). check_bench.py gates the same-run ratio of these rows.
+  // does per ROI there (kernel accumulate, then the fused pass credited as a
+  // Full representation). check_bench.py gates the same-run ratio of these
+  // rows.
   const auto dirs40 = haralick::unique_directions(ActiveDims::all4());
   const haralick::FeatureSet paper = haralick::FeatureSet::paper_eval();
   const std::string default_config = "default_roi7x7x3x3_dirs40_ng32_paper";
@@ -162,11 +155,11 @@ int run_json(const std::string& path) {
     auto fv = haralick::compute_features(dense, paper, haralick::ZeroPolicy::SkipZeros);
     benchmark::DoNotOptimize(fv);
   });
+  haralick::WorkCounters wc;
   const double kernel_dense_ns = h4d::bench::measure_ns_per_op([&] {
     scratch.accumulate(v.view(), roi, dirs40);
-    dense.clear();
-    scratch.finalize_add(dense);
-    auto fv = haralick::compute_features(dense, paper, haralick::ZeroPolicy::SkipZeros);
+    auto fv = scratch.features_fused(paper, &wc, nullptr, haralick::Representation::Full,
+                                     haralick::ZeroPolicy::SkipZeros);
     benchmark::DoNotOptimize(fv);
   });
   runs.push_back({"roi_reference_dense/" + default_config,

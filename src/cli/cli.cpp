@@ -154,7 +154,7 @@ class Args {
 // Args accessor reads is listed here.
 constexpr std::string_view kPipelineOptions[] = {
     // engine_from_args
-    "roi", "levels", "features", "repr", "dirs", "sweep",
+    "roi", "levels", "features", "repr", "dirs",
     // pipeline_from_args: layout, resilience, checkpoint
     "chunk", "variant", "workers", "plan", "faults", "on-corrupt", "retry", "checksums",
     "fill", "dead-nodes", "checkpoint", "resume",
@@ -191,9 +191,6 @@ haralick::EngineConfig engine_from_args(const Args& args) {
   }
   if (args.get_choice("dirs", {"all", "axis"}) == "axis") {
     engine.directions = haralick::axis_directions(haralick::ActiveDims::all4());
-  }
-  if (args.get_choice("sweep", {"fast", "strict"}) == "strict") {
-    engine.sweep_mode = haralick::SweepMode::Strict;
   }
   return engine;
 }
@@ -774,7 +771,7 @@ int usage(std::ostream& err) {
          "  info     DATASET_DIR\n"
          "  analyze  DATASET_DIR [--out DIR] [--variant hmp|split] [--workers N]\n"
          "           [--roi X,Y,Z,T] [--levels N] [--features paper|all]\n"
-         "           [--repr full|sparse] [--dirs all|axis] [--sweep strict|fast]\n"
+         "           [--repr full|sparse] [--dirs all|axis]\n"
          "           [--chunk X,Y,Z,T] [--plan fixed|auto]\n"
          "           [--faults SPEC] [--retry N] [--on-corrupt fail|retry|skip]\n"
          "           [--checksums on|off] [--fill V] [--dead-nodes N,M]\n"
@@ -859,12 +856,9 @@ int usage(std::ostream& err) {
          "                      (e.g. seed=7,crash=0.05,policy=quarantine)\n"
          "\n"
          "kernel (see docs/KERNEL.md):\n"
-         "  --sweep MODE        floating-point mode of the fused feature\n"
-         "                      sweep: fast (default, SoA/SIMD reductions +\n"
-         "                      fast_log, ~1e-10 relative agreement) | strict\n"
-         "                      (bit-identical to the reference feature pass;\n"
-         "                      ~3% slower, for cross-checking reference\n"
-         "                      values bit-for-bit)\n"
+         "  --repr full|sparse  matrix wire format between the split variant's\n"
+         "                      HCC and HPC filters and the cost-model units;\n"
+         "                      every setting writes the same maps\n"
          "\n"
          "tile cache (see docs/CACHE.md):\n"
          "  --tile-cache-mb N   memory budget of the shared out-of-core tile\n"

@@ -50,9 +50,8 @@ SplitPlan plan_split(const Volume4<Level>& probe, const haralick::EngineConfig& 
     hcc_meter.work.matrices_built += 1;
     if (engine.representation == Representation::Sparse) {
       const SparseGlcm s = SparseGlcm::from_dense(g);
-      hcc_meter.work.sparse_compress_cells +=
-          static_cast<std::int64_t>(engine.num_levels) * engine.num_levels;
-      hcc_meter.work.sparse_entries_emitted += static_cast<std::int64_t>(s.nnz());
+      haralick::credit_compression(hcc_meter.work, engine.num_levels,
+                                   static_cast<std::int64_t>(s.nnz()));
       // HPC stage, sparse path.
       haralick::compute_features(s, engine.features, &hpc_meter.work);
     } else {

@@ -238,8 +238,7 @@ struct PipelineParams {
       for (int d = 0; d < kDims; ++d) s << (d == 0 ? '/' : ',') << dir[d];
     }
     s << '/' << static_cast<int>(engine.direction_mode) << '/'
-      << static_cast<int>(engine.representation) << '/'
-      << static_cast<int>(engine.sweep_mode) << '/' << static_cast<int>(engine.zero_policy);
+      << static_cast<int>(engine.representation) << '/' << static_cast<int>(engine.zero_policy);
     if (!job_tag.empty()) s << '/' << job_tag;
     const std::string canon = s.str();
     std::ostringstream hex;

@@ -89,10 +89,8 @@ void HaralickCoMatrixCalculator::process(int port, const fs::BufferPtr& buffer,
     const Glcm g = haralick::glcm_for_roi(view, roi, dirs, p_->engine.num_levels,
                                           &ctx.meter().work, &scratch_);
     if (p_->engine.representation == Representation::Sparse) {
-      // Compression cost: scan the dense matrix, emit the non-zeros.
-      ctx.meter().work.sparse_compress_cells +=
-          static_cast<std::int64_t>(p_->engine.num_levels) * p_->engine.num_levels;
-      ctx.meter().work.sparse_entries_emitted += g.nonzero_upper();
+      haralick::credit_compression(ctx.meter().work, p_->engine.num_levels,
+                                   g.nonzero_upper());
     }
     writer_.add(origin, g);
     if (++since_flush >= per_packet) {

@@ -1,14 +1,20 @@
 // The fourteen Haralick textural features (Haralick, Shanmugam & Dinstein,
-// 1973), computed from a symmetric co-occurrence matrix via three code paths:
+// 1973), computed from a symmetric co-occurrence matrix.
 //
-//   * VisitAll  — dense loops touching every Ng^2 cell (the unoptimized
-//                 baseline in paper Sec. 4.4.1);
-//   * SkipZeros — dense loops that branch past zero cells (the paper's
-//                 "one-fourth the time" optimization);
-//   * sparse    — loops over the non-zero upper-triangular entry list only.
+// Every production entry point runs one scalar sweep over the canonical
+// upper-triangle entry list (non-zero cells, i <= j, row-major), followed by
+// one finalize step; they differ only in where the entries come from:
 //
-// All three produce identical values (property-tested); they differ only in
-// the work performed, which feeds the performance model.
+//   * KernelScratch::features_fused — read off the kernel's tile;
+//   * compute_features(SparseGlcm)  — the stored entries;
+//   * compute_features(Glcm, SkipZeros) — scanned out of the dense table.
+//
+// So every representation yields bit-identical values. compute_features(Glcm,
+// VisitAll) keeps the textbook loop over all Ng^2 cells (the unoptimized
+// baseline of paper Sec. 4.4.1 and the tests' oracle); it agrees to rounding.
+// Full vs. sparse and VisitAll vs. SkipZeros remain as cost-model units:
+// each pass is charged as the loop of its representation and zero policy
+// would be.
 #pragma once
 
 #include <array>
@@ -85,18 +91,29 @@ struct FeatureVector {
   double& operator[](Feature f) { return value[static_cast<std::size_t>(f)]; }
 };
 
-/// Zero-entry handling for the dense path.
+/// How co-occurrence matrices are represented between construction and
+/// feature evaluation (paper Sec. 4.4.1): the wire format between HCC and
+/// HPC, and the units the cost model charges a feature pass in.
+enum class Representation { Full, Sparse };
+
+/// Zero-entry handling of a full-matrix feature pass.
 enum class ZeroPolicy {
   VisitAll,   ///< touch every cell, zeros included (baseline)
-  SkipZeros,  ///< branch past zero cells (paper's optimization)
+  SkipZeros,  ///< compute only the non-zero cells (paper's optimization)
 };
 
-/// Dense-path feature computation. `wc`, when non-null, is credited with the
-/// per-cell operations performed (used to calibrate the simulator).
+/// Full-matrix feature computation. SkipZeros runs the entry sweep on the
+/// non-zero upper cells; VisitAll runs the every-cell textbook loop. `wc`,
+/// when non-null, is credited Ng^2 cells scanned and the ops of the non-zero
+/// cells (SkipZeros) or of every cell (VisitAll).
 FeatureVector compute_features(const Glcm& g, FeatureSet set, ZeroPolicy policy,
                                WorkCounters* wc = nullptr);
 
-/// Sparse-path feature computation over the non-zero entry list.
+/// Sparse feature computation: the entry sweep over the stored entries.
 FeatureVector compute_features(const SparseGlcm& g, FeatureSet set, WorkCounters* wc = nullptr);
+
+/// Credit `wc` with compressing a dense Ng-level matrix into `entries`
+/// sparse entries: Ng^2 cells scanned, `entries` emitted.
+void credit_compression(WorkCounters& wc, int ng, std::int64_t entries);
 
 }  // namespace h4d::haralick

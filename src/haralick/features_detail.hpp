@@ -1,9 +1,11 @@
-// Internal feature-computation machinery shared between the reference paths
-// (features.cpp) and the fused kernel sweep (kernel.cpp). Not part of the
+// Internal feature-computation machinery shared between compute_features
+// (features.cpp) and the kernel's fused pass (kernel.cpp). Not part of the
 // public haralick API; include features.hpp instead.
 #pragma once
 
 #include <cmath>
+#include <cstdint>
+#include <span>
 #include <vector>
 
 #include "haralick/features.hpp"
@@ -42,10 +44,28 @@ struct Gathered {
   void reset(int num_levels);
 };
 
-/// Turn the gathered sums into the selected features. Exactly one of
-/// `dense`/`sparse` may be null; the non-null one is only consulted for the
-/// maximal correlation coefficient (f14).
-FeatureVector finalize(const Gathered& g, FeatureSet set, const Glcm* dense,
-                       const SparseGlcm* sparse, WorkCounters* wc);
+/// Credit `wc` with one feature pass over an Ng-level matrix whose non-zero
+/// upper triangle holds `entries` entries standing for `cells` full-matrix
+/// cells, in the reference units of `repr` and `zeros` (the units the
+/// simulator is calibrated in): a full pass scans Ng^2 cells and computes
+/// the non-zero ones (SkipZeros) or all of them (VisitAll); a sparse pass
+/// scans its entries and computes the cells they stand for (`zeros` does not
+/// apply). f14's eigenproblem is credited separately, by finalize.
+void credit_feature_pass(WorkCounters& wc, Representation repr, ZeroPolicy zeros, int ng,
+                         std::int64_t entries, std::int64_t cells, FeatureSet set);
+
+/// The feature pass behind every production entry point: reset `acc`, sweep
+/// `entries` (the non-zero upper triangle of an Ng-level matrix with `total`
+/// observations, row-major, i <= j) into it, credit `wc` as
+/// credit_feature_pass(repr, zeros) and finalize.
+FeatureVector features_from_entries(std::span<const SparseEntry> entries, int ng,
+                                    std::int64_t total, FeatureSet set, Gathered& acc,
+                                    WorkCounters* wc, Representation repr, ZeroPolicy zeros);
+
+/// Turn the gathered sums into the selected features. `entries` and `total`
+/// describe the matrix as in features_from_entries; only the maximal
+/// correlation coefficient (f14) reads them.
+FeatureVector finalize(const Gathered& g, FeatureSet set, std::span<const SparseEntry> entries,
+                       std::int64_t total, WorkCounters* wc);
 
 }  // namespace h4d::haralick::detail

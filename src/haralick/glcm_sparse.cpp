@@ -7,6 +7,12 @@ namespace h4d::haralick {
 
 SparseGlcm SparseGlcm::from_dense(const Glcm& g) {
   std::vector<SparseEntry> entries;
+  scan_entries(g, entries);
+  return SparseGlcm(g.num_levels(), g.total(), std::move(entries));
+}
+
+void SparseGlcm::scan_entries(const Glcm& g, std::vector<SparseEntry>& out) {
+  out.clear();
   const int ng = g.num_levels();
   for (int i = 0; i < ng; ++i) {
     // A clear occupancy bit guarantees the whole row is zero — skip it
@@ -15,11 +21,10 @@ SparseGlcm SparseGlcm::from_dense(const Glcm& g) {
     for (int j = i; j < ng; ++j) {
       const std::uint32_t c = g.count(i, j);
       if (c != 0) {
-        entries.push_back({static_cast<std::uint8_t>(i), static_cast<std::uint8_t>(j), c});
+        out.push_back({static_cast<std::uint8_t>(i), static_cast<std::uint8_t>(j), c});
       }
     }
   }
-  return SparseGlcm(ng, g.total(), std::move(entries));
 }
 
 Glcm SparseGlcm::to_dense() const {

@@ -34,6 +34,11 @@ class SparseGlcm {
   /// Compress a dense GLCM. Emits entries in row-major (i, then j) order.
   static SparseGlcm from_dense(const Glcm& g);
 
+  /// The scan behind from_dense: replace `out` with the non-zero upper
+  /// entries of `g` in row-major order, reusing its capacity. Rows the
+  /// occupancy bitmap rules out are skipped unread.
+  static void scan_entries(const Glcm& g, std::vector<SparseEntry>& out);
+
   int num_levels() const { return ng_; }
   std::int64_t total() const { return total_; }
   const std::vector<SparseEntry>& entries() const { return entries_; }

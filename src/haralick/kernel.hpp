@@ -23,15 +23,15 @@
 //     reset cannot reach 65,536 (knowable up front from the ROI and
 //     direction set); past that bound a checked variant spills any
 //     saturating cell to a 32-bit side table;
-//   * the feature pass is a single sweep over the non-zero upper cells that
-//     produces the cell terms, px, p_{x+y} and p_{x-y} together and can emit
-//     the SparseGlcm entry list from the same sweep — no dense fold and no
-//     Ng^2 rescan in SparseGlcm::from_dense.
+//   * the feature pass reads the non-zero upper cells straight off the tile
+//     into the canonical entry list (zeroing the tile as it goes) and runs
+//     the one entry sweep of features.hpp on it — no dense fold and no Ng^2
+//     rescan in SparseGlcm::from_dense, for either representation.
 //
 // Equivalence contract (property-tested in test_kernel.cpp): accumulate +
-// fold is bit-identical to Glcm::accumulate_reference, and the fused sweep
+// fold is bit-identical to Glcm::accumulate_reference, and features_fused
 // is bit-identical to SparseGlcm::from_dense + compute_features(sparse) —
-// same entries, same floating-point accumulation order.
+// same entries, same sweep.
 #pragma once
 
 #include <cstdint>
@@ -47,18 +47,6 @@ namespace h4d::haralick {
 namespace detail {
 struct Gathered;
 }  // namespace detail
-
-/// How the fused feature sweep evaluates its floating-point terms.
-///
-/// Strict replays the reference sparse path cell-for-cell: one interleaved
-/// scalar loop, libm log, true divisions — bit-identical to
-/// compute_features(SparseGlcm::from_dense(g)). Fast gathers the non-zero
-/// cells into SoA term arrays and reduces them with SIMD-annotated loops
-/// (see simd.hpp) using the fast_log polynomial for the entropy terms;
-/// results agree with Strict to ~1e-10 relative (property-tested). The
-/// engine runs Fast by default; Strict remains for verification and for
-/// callers that need exact reference bits.
-enum class SweepMode { Strict, Fast };
 
 /// Reusable per-thread working state of the kernel: the two-bank uint16
 /// co-occurrence tile, its 32-bit spill table, and the feature sweep's
@@ -90,20 +78,20 @@ class KernelScratch {
   /// `g.num_levels()` must equal num_levels().
   void finalize_add(Glcm& g);
 
-  /// Fused feature pass: one sweep over the non-zero upper cells computing
-  /// every gathered quantity; in SweepMode::Strict (the default) it is
-  /// bit-identical to compute_features(SparseGlcm::from_dense(dense), set,
-  /// wc) on the dense matrix this tile folds to, while SweepMode::Fast runs
-  /// the SoA/SIMD reductions (ULP-bounded agreement; see SweepMode). Resets
-  /// the tile for the next ROI.
+  /// Fused feature pass: read the tile's non-zero upper cells into the
+  /// entry list and sweep it — bit-identical to
+  /// compute_features(SparseGlcm::from_dense(dense), set) on the dense
+  /// matrix this tile folds to. Resets the tile for the next ROI.
   ///
-  /// `wc` is credited exactly as the reference sparse path would be
-  /// (entries emitted, Ng^2 modeled compress cells, cells scanned/ops), so
-  /// simulator calibration is unchanged. When `sparse_out` is non-null it
-  /// receives the SparseGlcm built by the same sweep.
+  /// `wc` is credited as the reference path of `repr` and `zeros` would be:
+  /// a Sparse pass adds the compression (Ng^2 modeled cells, entries
+  /// emitted) to the sparse feature pass; a Full pass is charged as
+  /// compute_features(dense, zeros). When `sparse_out` is non-null it
+  /// receives the SparseGlcm read off the tile.
   FeatureVector features_fused(FeatureSet set, WorkCounters* wc = nullptr,
                                SparseGlcm* sparse_out = nullptr,
-                               SweepMode mode = SweepMode::Strict);
+                               Representation repr = Representation::Sparse,
+                               ZeroPolicy zeros = ZeroPolicy::SkipZeros);
 
   /// Total pair observations currently in the tile (2 per pair, matching
   /// Glcm::total()).
@@ -128,14 +116,9 @@ class KernelScratch {
   std::vector<std::uint32_t> spill_;       // 32-bit overflow, same layout
   std::vector<std::int32_t> spill_cells_;  // indices with non-zero spill_
 
-  // Feature-sweep buffers (owned here so workers reuse them across chunks).
+  // Feature-pass buffers (owned here so workers reuse them across chunks).
   std::unique_ptr<detail::Gathered> gathered_;
   std::vector<SparseEntry> entries_;
-
-  // SoA cell-term arrays of the fast sweep: per non-zero upper cell its
-  // levels (as doubles for the reductions), probability, and symmetry
-  // weight. Sized to the sweep's nnz; reused across ROIs.
-  std::vector<double> soa_i_, soa_j_, soa_p_, soa_w_;
 };
 
 }  // namespace h4d::haralick

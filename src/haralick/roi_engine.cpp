@@ -63,12 +63,9 @@ std::vector<FeatureBlock> analyze_chunk(Vol4View<const Level> chunk_view,
   KernelScratch& ks = *scratch;
 
   // Per-ROI matrix + feature evaluation through the kernel: accumulate the
-  // upper-triangle tile, then either fold to the dense table (Full) or run
-  // the fused non-zero sweep which also stands in for the sparse conversion
-  // (Sparse). SweepMode::Strict is bit-identical to compute_features on a
-  // reference-built Glcm / SparseGlcm (property-tested in test_kernel); the
-  // Fast default agrees to ~1e-10 relative.
-  Glcm dense_scratch(cfg.num_levels);
+  // tile, then the fused pass reads its entries and sweeps them — the same
+  // bits for either representation, which only decides the units `wc` is
+  // credited in (property-tested in test_kernel).
   const auto kernel_features_of_roi = [&](const Region4& roi,
                                           const std::vector<Vec4>& dv) {
     const std::int64_t updates = ks.accumulate(chunk_view, roi, dv);
@@ -76,12 +73,7 @@ std::vector<FeatureBlock> analyze_chunk(Vol4View<const Level> chunk_view,
       wc->glcm_pair_updates += updates;
       wc->matrices_built += 1;
     }
-    if (cfg.representation == Representation::Sparse) {
-      return ks.features_fused(cfg.features, wc, nullptr, cfg.sweep_mode);
-    }
-    dense_scratch.clear();
-    ks.finalize_add(dense_scratch);
-    return compute_features(dense_scratch, cfg.features, cfg.zero_policy, wc);
+    return ks.features_fused(cfg.features, wc, nullptr, cfg.representation, cfg.zero_policy);
   };
 
   std::int64_t k = 0;

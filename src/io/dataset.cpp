@@ -153,7 +153,8 @@ DatasetMeta DatasetMeta::load(const std::filesystem::path& root) {
   return m;
 }
 
-NodeIndex parse_node_index(const std::filesystem::path& index, const DatasetMeta& meta) {
+NodeIndex parse_node_index(const std::filesystem::path& index, const DatasetMeta& meta,
+                           int node) {
   std::ifstream idx(index);
   if (!idx) throw std::runtime_error("cannot read index " + index.string());
   NodeIndex parsed;
@@ -177,6 +178,11 @@ NodeIndex parse_node_index(const std::filesystem::path& index, const DatasetMeta
     }
     if (s.t < 0 || s.t >= meta.dims[3] || s.z < 0 || s.z >= meta.dims[2]) {
       bad("t/z outside dataset dims " + meta.dims.str());
+      continue;
+    }
+    if (meta.replica_rank(s.z, s.t, node) < 0) {
+      bad("slice t=" + std::to_string(s.t) + ", z=" + std::to_string(s.z) +
+          " is not placed on node " + std::to_string(node));
       continue;
     }
     std::string crc_hex;
@@ -203,7 +209,7 @@ NodeIndex parse_node_index(const std::filesystem::path& index, const DatasetMeta
 StorageNodeReader::StorageNodeReader(std::filesystem::path node_dir, DatasetMeta meta,
                                      int node_id)
     : dir_(std::move(node_dir)), meta_(meta), node_id_(node_id) {
-  NodeIndex parsed = parse_node_index(dir_ / kIndexFileName, meta_);
+  NodeIndex parsed = parse_node_index(dir_ / kIndexFileName, meta_, node_id_);
   // A reader trusts nothing in an index that breaks the grammar.
   if (!parsed.errors.empty()) throw std::runtime_error(parsed.errors.front());
   slices_ = std::move(parsed.slices);

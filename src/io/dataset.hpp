@@ -107,18 +107,20 @@ struct SliceRef {
 
 /// A node index parsed under the strict grammar, one line per slice:
 /// "<t> <z> <filename> [<crc32-hex>]" with a basename filename, t and z
-/// inside the dataset dims, no second line for a (t, z), and a CRC of 1-8
-/// hex digits (indexes written before checksums lack the column). A line
-/// that breaks a rule is not an entry; it is reported as
+/// inside the dataset dims and placed on this node (replica_rank >= 0), no
+/// second line for a (t, z), and a CRC of 1-8 hex digits (indexes written
+/// before checksums lack the column). A line that breaks a rule is not an
+/// entry; it is reported as
 /// "<index>:<line>: <rule>: <text>".
 struct NodeIndex {
   std::vector<SliceRef> slices;     ///< lines that keep every rule, in file order
   std::vector<std::string> errors;  ///< one per line that breaks a rule
 };
 
-/// Parse `index` under the strict grammar. Throws std::runtime_error when
-/// the file cannot be read.
-NodeIndex parse_node_index(const std::filesystem::path& index, const DatasetMeta& meta);
+/// Parse the index of storage node `node` under the strict grammar. Throws
+/// std::runtime_error when the file cannot be read.
+NodeIndex parse_node_index(const std::filesystem::path& index, const DatasetMeta& meta,
+                           int node);
 
 /// A slice read that delivered the wrong number of bytes (truncated file,
 /// I/O error mid-read, or an injected fault). Carries the slice coordinates

@@ -44,7 +44,7 @@ std::vector<NodeState> load_nodes(const std::filesystem::path& root,
     // never an entry (a "../node_1/..." filename must not be followed).
     NodeIndex index;
     try {
-      index = parse_node_index(dir / kIndexFileName, meta);
+      index = parse_node_index(dir / kIndexFileName, meta, n);
     } catch (const std::runtime_error&) {
       continue;  // no readable index: reported as missing
     }

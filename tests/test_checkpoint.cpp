@@ -398,7 +398,6 @@ TEST_F(CheckpointFixture, ResumeRefusesManifestOfOtherEngineConfig) {
                  [](EngineConfig& e) { e.direction_mode = DirectionMode::MeanOverDirections; });
   expect_refused("representation",
                  [](EngineConfig& e) { e.representation = Representation::Sparse; });
-  expect_refused("sweep mode", [](EngineConfig& e) { e.sweep_mode = SweepMode::Strict; });
   expect_refused("zero policy", [](EngineConfig& e) { e.zero_policy = ZeroPolicy::VisitAll; });
 }
 

@@ -147,18 +147,17 @@ TEST_F(CliTest, AnalyzeAcceptsOptionsReadOnlyInSomeCases) {
   EXPECT_NE(text.find("\"queue_stalled_pushes\""), std::string::npos);
 }
 
-TEST_F(CliTest, AnalyzeSweepFlagSelectsMode) {
+TEST_F(CliTest, AnalyzeRejectsRemovedSweepFlag) {
   const std::string ds = (dir_ / "ds").string();
   ASSERT_EQ(invoke({"phantom", "--out", ds, "--dims", "14,14,6,4", "--nodes", "2"}), 0);
-  // Strict and fast both run the sparse fused sweep end to end.
-  EXPECT_EQ(invoke({"analyze", ds, "--roi", "5,5,3,3", "--repr", "sparse", "--dirs",
-                    "axis", "--chunk", "12,12,6,4", "--sweep", "strict"}),
-            0);
-  EXPECT_EQ(invoke({"analyze", ds, "--roi", "5,5,3,3", "--repr", "sparse", "--dirs",
-                    "axis", "--chunk", "12,12,6,4", "--sweep", "fast"}),
-            0);
-  EXPECT_EQ(invoke({"analyze", ds, "--roi", "5,5,3,3", "--sweep", "bogus"}), 1);
-  EXPECT_NE(stderr_text().find("--sweep"), std::string::npos);
+  // One exact feature sweep serves every representation; the old
+  // floating-point mode switch is an unknown option, not a silent no-op.
+  EXPECT_EQ(invoke({"analyze", ds, "--roi", "5,5,3,3", "--repr", "sparse", "--sweep",
+                    "strict"}),
+            1);
+  EXPECT_NE(stderr_text().find("unknown option --sweep"), std::string::npos)
+      << stderr_text();
+  EXPECT_EQ(stdout_text(), "");
 }
 
 TEST_F(CliTest, BadOptionValueReportsError) {
@@ -183,7 +182,6 @@ TEST_F(CliTest, BadOptionValueReportsError) {
       {"analyze", "resume", "maybe", "off|on"},
       {"analyze", "plan", "bogus", "fixed|auto"},
       {"analyze", "features", "some", "paper|all"},
-      {"analyze", "sweep", "bogus", "fast|strict"},
       {"simulate", "variant", "hmp ", "split|hmp"},
       {"serve", "mode", "bogus", "threaded|sim"},
       {"repair", "add-checksums", "yes", "off|on"},

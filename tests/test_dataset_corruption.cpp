@@ -236,6 +236,14 @@ TEST_F(CorruptionTest, IndexEntryOutsideDimsIsRejected) {
   expect_index_rejected(root_, appended, "outside dataset dims");
 }
 
+TEST_F(CorruptionTest, IndexEntryNotPlacedOnTheNodeIsRejected) {
+  DiskDataset::create(root_, vol_, 2);  // node 0 holds the even slice numbers
+  rewrite_lines(root_ / "node_0" / "index.txt", [](std::vector<std::string>& lines) {
+    lines[1] = "0 1 slice_t0_z1.raw";  // slice 1 belongs to node 1
+  });
+  expect_index_rejected(root_, 2, "slice t=0, z=1 is not placed on node 0");
+}
+
 TEST_F(CorruptionTest, DuplicateIndexEntryIsRejected) {
   DiskDataset::create(root_, vol_, 2);
   rewrite_lines(root_ / "node_0" / "index.txt",

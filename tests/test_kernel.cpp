@@ -206,60 +206,6 @@ TEST(Kernel, FusedFeaturesBitIdenticalToSparseReference) {
   }
 }
 
-TEST(Kernel, FastSweepMatchesStrictWithinUlpBound) {
-  // SweepMode::Fast reorders the reductions and batches entropy through the
-  // fast_log polynomial; every feature must still agree with Strict (and so
-  // with the reference path) to tight relative tolerance, and the emitted
-  // entry list must be identical.
-  std::mt19937_64 rng(31);
-  for (const int ng : {2, 32, 256}) {
-    for (int trial = 0; trial < 4; ++trial) {
-      const auto v = random_volume({9, 9, 4, 3}, ng, static_cast<unsigned>(60 + trial));
-      const auto dirs = random_directions(rng, 4, 1);
-      const Region4 roi{{0, 1, 0, 0}, {8, 7, 3, 3}};
-
-      KernelScratch scratch(ng);
-      scratch.accumulate(v.view(), roi, dirs);
-      SparseGlcm strict_sparse;
-      const FeatureVector strict =
-          scratch.features_fused(FeatureSet::all(), nullptr, &strict_sparse, SweepMode::Strict);
-
-      scratch.accumulate(v.view(), roi, dirs);
-      SparseGlcm fast_sparse;
-      const FeatureVector fast =
-          scratch.features_fused(FeatureSet::all(), nullptr, &fast_sparse, SweepMode::Fast);
-
-      EXPECT_EQ(fast_sparse.entries(), strict_sparse.entries());
-      EXPECT_EQ(fast_sparse.total(), strict_sparse.total());
-      for (int f = 0; f < kNumFeatures; ++f) {
-        const auto feat = static_cast<Feature>(f);
-        EXPECT_NEAR(fast[feat], strict[feat],
-                    1e-9 * std::max(1.0, std::abs(strict[feat])))
-            << feature_name(feat) << " ng=" << ng;
-      }
-    }
-  }
-}
-
-TEST(Kernel, FastSweepWorkCountersMatchStrict) {
-  const int ng = 32;
-  const auto v = random_volume({9, 9, 4, 3}, ng, 78);
-  const auto dirs = axis_directions(ActiveDims::all4());
-  const Region4 roi{{0, 0, 0, 0}, {7, 7, 3, 3}};
-
-  WorkCounters strict_wc, fast_wc;
-  KernelScratch scratch(ng);
-  scratch.accumulate(v.view(), roi, dirs);
-  scratch.features_fused(FeatureSet::all(), &strict_wc, nullptr, SweepMode::Strict);
-  scratch.accumulate(v.view(), roi, dirs);
-  scratch.features_fused(FeatureSet::all(), &fast_wc, nullptr, SweepMode::Fast);
-
-  EXPECT_EQ(fast_wc.sparse_entries_emitted, strict_wc.sparse_entries_emitted);
-  EXPECT_EQ(fast_wc.sparse_compress_cells, strict_wc.sparse_compress_cells);
-  EXPECT_EQ(fast_wc.feature_cells_scanned, strict_wc.feature_cells_scanned);
-  EXPECT_EQ(fast_wc.feature_cell_ops, strict_wc.feature_cell_ops);
-}
-
 TEST(Kernel, FusedFeatureWorkCountersMatchReferencePath) {
   const int ng = 32;
   const auto v = random_volume({9, 9, 4, 3}, ng, 77);

@@ -2,11 +2,13 @@
 // and the bottleneck report on a deliberately throttled graph.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <chrono>
 #include <cstdint>
 #include <memory>
 #include <sstream>
 #include <string>
+#include <vector>
 
 #include "fs/executor_threads.hpp"
 #include "fs/meter.hpp"
@@ -308,12 +310,40 @@ TEST(Bottleneck, ReportNamesTheThrottledFilter) {
 }
 
 TEST(Bottleneck, BalancedGraphGetsBalancedVerdict) {
+  // A timed run of a graph that does no work measures scheduler noise, so it
+  // asserts only what the schedule cannot change: one row per filter and a
+  // verdict.
   auto state = std::make_shared<SinkState>();
-  const RunStats stats = run_threaded(pipeline_graph(state, 16), {});
+  const BottleneckReport timed =
+      analyze_bottleneck(run_threaded(pipeline_graph(state, 16), {}));
+  std::vector<std::string> names;
+  for (const FilterMetrics& f : timed.filters) names.push_back(f.filter);
+  std::sort(names.begin(), names.end());
+  EXPECT_EQ(names, (std::vector<std::string>{"scale", "sink", "source"}));
+  EXPECT_FALSE(timed.verdict.empty());
+
+  // The verdict itself, on stats where every filter is busy well under half
+  // the makespan: nothing should look like a hot bound stage.
+  RunStats stats;
+  stats.total_seconds = 1.0;
+  const struct {
+    const char* filter;
+    int copy;
+    double busy;
+  } rows[] = {{"source", 0, 0.20}, {"scale", 0, 0.15}, {"scale", 1, 0.12}, {"sink", 0, 0.10}};
+  for (const auto& row : rows) {
+    CopyStats c;
+    c.filter = row.filter;
+    c.copy = row.copy;
+    c.busy_seconds = row.busy;
+    c.finish_time = 1.0;
+    stats.copies.push_back(c);
+  }
   const BottleneckReport report = analyze_bottleneck(stats);
-  // No filter does real work: nothing should look like a hot bound stage.
+  ASSERT_EQ(report.filters.size(), 3u);
   EXPECT_LT(report.bound_utilization, 0.5);
   EXPECT_NE(report.verdict.find("balanced"), std::string::npos);
+  EXPECT_EQ(report.verdict.rfind("balanced:", 0), 0u) << report.verdict;
 }
 
 /// A run of one four-copy "HMP" filter with the given per-copy busy times.

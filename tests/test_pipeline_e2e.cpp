@@ -3,6 +3,8 @@
 // maps identical to the sequential reference of paper Fig. 2.
 #include <gtest/gtest.h>
 
+#include <array>
+#include <cstring>
 #include <filesystem>
 
 #include "core/analysis.hpp"
@@ -15,6 +17,7 @@ namespace {
 namespace fsys = std::filesystem;
 using haralick::Feature;
 using haralick::Representation;
+using haralick::ZeroPolicy;
 
 struct E2EFixture : ::testing::Test {
   void SetUp() override {
@@ -180,6 +183,108 @@ TEST_F(E2EFixture, AllFourteenFeaturesThroughPipeline) {
                   1e-4 * std::max(1.0f, std::abs(map.storage()[static_cast<std::size_t>(i)])))
           << haralick::feature_name(f);
     }
+  }
+}
+
+TEST_F(E2EFixture, RepresentationsAndVariantsWriteByteEqualMaps) {
+  // Every representation and variant runs the same feature sweep, so the
+  // maps agree byte for byte, f14 and the entropy features included.
+  PipelineConfig cfg = base_config(2);
+  cfg.engine.features = haralick::FeatureSet::all();
+  cfg.hmp_copies = 2;
+  cfg.hcc_copies = 2;
+  cfg.hpc_copies = 2;
+  const auto with = [&](Variant variant, Representation repr) {
+    PipelineConfig c = cfg;
+    c.variant = variant;
+    c.engine.representation = repr;
+    return c;
+  };
+  const AnalysisResult hmp_full = analyze_threaded(with(Variant::HMP, Representation::Full));
+
+  PipelineConfig sim_cfg = with(Variant::Split, Representation::Full);
+  sim_cfg.rfr_nodes = {0, 1};
+  sim_cfg.iic_nodes = {2};
+  sim_cfg.hcc_nodes = {3, 4};
+  sim_cfg.hpc_nodes = {5, 6};
+  sim_cfg.uso_nodes = {7};
+  sim::SimOptions sopt;
+  sopt.cluster = sim::make_piii_cluster(8);
+
+  const struct {
+    const char* name;
+    AnalysisResult result;
+  } others[] = {
+      {"hmp-sparse", analyze_threaded(with(Variant::HMP, Representation::Sparse))},
+      {"split-full", analyze_threaded(with(Variant::Split, Representation::Full))},
+      {"split-sparse", analyze_threaded(with(Variant::Split, Representation::Sparse))},
+      {"simulated split-full", analyze_simulated(sim_cfg, sopt)},
+  };
+  ASSERT_EQ(hmp_full.maps.size(), static_cast<std::size_t>(haralick::kNumFeatures));
+  for (const auto& other : others) {
+    ASSERT_EQ(other.result.maps.size(), hmp_full.maps.size()) << other.name;
+    for (const auto& [f, map] : hmp_full.maps) {
+      const auto& omap = other.result.maps.at(f);
+      ASSERT_EQ(omap.storage().size(), map.storage().size()) << other.name;
+      EXPECT_EQ(std::memcmp(omap.storage().data(), map.storage().data(),
+                            map.storage().size() * sizeof(float)),
+                0)
+          << other.name << ": " << haralick::feature_name(f);
+    }
+  }
+}
+
+TEST_F(E2EFixture, WorkCountersPinnedPerRepresentationZeroPolicyAndVariant) {
+  // The summed work counters of one fixed run per variant x representation x
+  // zero policy, as recorded before the feature paths shared one sweep: the
+  // cost model (and so every simulated time and split plan) is charged the
+  // same reference units whichever loop computes the values.
+  // Columns: glcm_pair_updates, feature_cells_scanned, feature_cell_ops,
+  // matrices_built, sparse_entries_emitted, sparse_compress_cells.
+  using Work = std::array<std::int64_t, 6>;
+  const struct {
+    Variant variant;
+    Representation repr;
+    ZeroPolicy zeros;
+    Work work;
+  } pins[] = {
+      {Variant::HMP, Representation::Full, ZeroPolicy::SkipZeros,
+       {21654528, 688128, 647137, 2688, 0, 0}},
+      {Variant::HMP, Representation::Full, ZeroPolicy::VisitAll,
+       {21654528, 688128, 4408315, 2688, 0, 0}},
+      {Variant::HMP, Representation::Sparse, ZeroPolicy::SkipZeros,
+       {21654528, 36245, 647137, 2688, 36245, 688128}},
+      {Variant::HMP, Representation::Sparse, ZeroPolicy::VisitAll,
+       {21654528, 36245, 647137, 2688, 36245, 688128}},
+      {Variant::Split, Representation::Full, ZeroPolicy::SkipZeros,
+       {21654528, 688128, 647137, 2688, 0, 0}},
+      {Variant::Split, Representation::Full, ZeroPolicy::VisitAll,
+       {21654528, 688128, 4408315, 2688, 0, 0}},
+      {Variant::Split, Representation::Sparse, ZeroPolicy::SkipZeros,
+       {21654528, 36245, 647137, 2688, 36245, 688128}},
+      {Variant::Split, Representation::Sparse, ZeroPolicy::VisitAll,
+       {21654528, 36245, 647137, 2688, 36245, 688128}},
+  };
+  PipelineConfig cfg = base_config(2);
+  cfg.engine.features = haralick::FeatureSet::all();
+  cfg.hmp_copies = 2;
+  cfg.hcc_copies = 2;
+  cfg.hpc_copies = 2;
+  for (const auto& pin : pins) {
+    PipelineConfig c = cfg;
+    c.variant = pin.variant;
+    c.engine.representation = pin.repr;
+    c.engine.zero_policy = pin.zeros;
+    haralick::WorkCounters sum;
+    for (const auto& copy : analyze_threaded(c).stats.copies) sum += copy.meter.work;
+    const Work got{sum.glcm_pair_updates,      sum.feature_cells_scanned,
+                   sum.feature_cell_ops,       sum.matrices_built,
+                   sum.sparse_entries_emitted, sum.sparse_compress_cells};
+    EXPECT_EQ(got, pin.work) << "{" << got[0] << ", " << got[1] << ", " << got[2] << ", "
+                             << got[3] << ", " << got[4] << ", " << got[5] << "} for variant "
+                             << static_cast<int>(pin.variant) << ", repr "
+                             << static_cast<int>(pin.repr) << ", zeros "
+                             << static_cast<int>(pin.zeros);
   }
 }
 

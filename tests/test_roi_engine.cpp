@@ -85,9 +85,7 @@ TEST(AnalyzeVolume, FullAndSparseRepresentationsAgree) {
   for (std::size_t i = 0; i < a.size(); ++i) {
     ASSERT_EQ(a[i].values.size(), b[i].values.size());
     for (std::size_t j = 0; j < a[i].values.size(); ++j) {
-      EXPECT_NEAR(a[i].values[j], b[i].values[j],
-                  1e-5 * std::max(1.0f, std::abs(a[i].values[j])))
-          << feature_name(a[i].feature) << " @" << j;
+      EXPECT_EQ(a[i].values[j], b[i].values[j]) << feature_name(a[i].feature) << " @" << j;
     }
   }
 }

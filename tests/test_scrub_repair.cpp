@@ -301,6 +301,13 @@ TEST_F(ScrubRepairTest, IndexSliceOutsideTheDimsIsADefect) {
   expect_invalid_line_repaired("t/z outside dataset dims", 9);
 }
 
+TEST_F(ScrubRepairTest, IndexSliceNotPlacedOnTheNodeIsADefect) {
+  create(3, 2);
+  // Slice 1 (t=0, z=1) has its copies on nodes 1 and 2 only.
+  edit_index(0, [](const std::string& t) { return t + "0 1 slice_t0_z1.raw\n"; });
+  expect_invalid_line_repaired("slice t=0, z=1 is not placed on node 0", 9);
+}
+
 TEST_F(ScrubRepairTest, DuplicateIndexEntryIsADefect) {
   create(3, 2);
   edit_index(0, [](const std::string& t) { return t + t.substr(0, t.find('\n') + 1); });

@@ -61,8 +61,8 @@ EXTERNAL_FLAGS = {
 def heading_anchor(text: str) -> str:
     """GitHub-style anchor: lowercase, spaces to dashes, drop punctuation.
 
-    Underscores survive (GitHub's slugger keeps them — `fast_log` anchors
-    as fast_log); the other markdown formatting characters are stripped.
+    Underscores survive (GitHub's slugger keeps them — `plan_split` anchors
+    as plan_split); the other markdown formatting characters are stripped.
     """
     text = re.sub(r"[`*~\[\]()]", "", text.strip().lower())
     text = re.sub(r"[^\w\- ]", "", text)
