@@ -6,38 +6,21 @@
 // filters fast enough, which left some filters idle". This harness sweeps
 // the chunk extent for a fixed 8-node split pipeline and reports execution
 // time, data duplication, and network traffic.
-#include <memory>
-
 #include "bench_common.hpp"
-#include "io/tile_cache.hpp"
 
 using namespace h4d;
 using haralick::Representation;
-
-namespace {
-
-/// Physical read traffic of one simulated run (summed RFR meters), in MB.
-double disk_mb(const sim::SimStats& stats) {
-  std::int64_t bytes = 0;
-  for (const auto& c : stats.copies) bytes += c.meter.disk_bytes_read;
-  return static_cast<double>(bytes) / 1e6;
-}
-
-}  // namespace
 
 int main(int argc, char** argv) {
   const bench::Workload w = bench::setup_workload(argc, argv);
   bench::Report report(
       "ablation_chunk_size", "IIC->TEXTURE chunk size trade-off (paper Sec. 5.1)",
-      {"chunk", "num_chunks", "dup_factor", "net_MB", "time_s", "cache_cold_MB",
-       "cache_warm_MB"});
+      {"chunk", "num_chunks", "dup_factor", "net_MB", "time_s"});
 
   struct Row {
     Vec4 chunk;
     double time;
     double dup;
-    double cold_mb;
-    double warm_mb;
   };
   std::vector<Row> rows;
 
@@ -63,22 +46,10 @@ int main(int argc, char** argv) {
 
     const auto stats = bench::run_config(cfg, opt);
 
-    // Cache-on column: the same configuration run cold then warm through one
-    // shared tile cache (demand caching only — the simulator's virtual clock
-    // would not see the prefetcher's real-time reads). The warm pass shows
-    // what a re-analysis of a resident dataset pays at this chunk size.
-    auto cached = cfg;
-    cached.cache.budget_bytes = 512ull << 20;
-    cached.cache.prefetch_depth = 0;
-    cached.tile_cache = std::make_shared<io::TileCache>(cached.cache);
-    const double cold_mb = disk_mb(bench::run_config(cached, opt));
-    const double warm_mb = disk_mb(bench::run_config(cached, opt));
-
-    rows.push_back({chunk, stats.total_seconds, dup, cold_mb, warm_mb});
+    rows.push_back({chunk, stats.total_seconds, dup});
     report.row({chunk.str(), std::to_string(chunks.size()), bench::Report::sec(dup),
                 bench::Report::sec(static_cast<double>(stats.network_bytes) / 1e6),
-                bench::Report::sec(stats.total_seconds), bench::Report::sec(cold_mb),
-                bench::Report::sec(warm_mb)});
+                bench::Report::sec(stats.total_seconds)});
   }
 
   // The paper's claim is a U-shape: the extremes lose to a middle size.
@@ -95,9 +66,5 @@ int main(int argc, char** argv) {
                best_i != rows.size() - 1);
   report.check("duplication factor decreases with chunk size",
                rows.front().dup > rows.back().dup);
-  bool warm_cheaper = true;
-  for (const Row& r : rows) warm_cheaper &= r.warm_mb <= 0.5 * r.cold_mb;
-  report.check("warm re-run through the shared tile cache reads <= half the disk",
-               warm_cheaper);
   return report.finish();
 }

@@ -1,8 +1,8 @@
 #include "cli/cli.hpp"
 
 #include <charconv>
-#include <chrono>
 #include <cmath>
+#include <cstdio>
 #include <initializer_list>
 #include <map>
 #include <ostream>
@@ -10,7 +10,6 @@
 #include <sstream>
 #include <string>
 #include <string_view>
-#include <thread>
 #include <vector>
 
 #include <algorithm>
@@ -26,10 +25,6 @@
 #include "io/mhd.hpp"
 #include "io/phantom.hpp"
 #include "io/scrub.hpp"
-#include "io/tile_cache.hpp"
-#include "svc/job_manager.hpp"
-#include "svc/jobs_metrics.hpp"
-#include "svc/workload.hpp"
 
 namespace h4d::cli {
 
@@ -158,24 +153,16 @@ constexpr std::string_view kPipelineOptions[] = {
     // pipeline_from_args: layout, resilience, checkpoint
     "chunk", "variant", "workers", "plan", "faults", "on-corrupt", "retry", "checksums",
     "fill", "dead-nodes", "checkpoint", "resume",
-    // cache_config_from_args, tail_config_from_args
-    "tile-cache-mb", "tile-shape", "prefetch-depth", "read-deadline-ms", "hedge-pct",
-    "hedge-max-inflight"};
+    // tail_config_from_args
+    "read-deadline-ms", "hedge-pct", "hedge-max-inflight"};
 constexpr std::string_view kSuperviseOptions[] = {"supervise", "max-restarts", "poison",
                                                   "watchdog-ms"};
 constexpr std::string_view kExportOptions[] = {"trace", "metrics"};
 constexpr std::string_view kSimOptions[] = {"sim-failures"};
-constexpr std::string_view kServiceOptions[] = {
-    "mode", "job-workers", "admit-cap", "tenant-pending", "tenant-running",
-    "degrade-watermark", "ckpt-dir", "jobs-metrics"};
-constexpr std::string_view kServeOptions[] = {
-    "jobs", "tenants", "seed", "arrival-ms", "deadline-pct", "deadline-ms", "job-retries",
-    "est-ms"};
 constexpr std::string_view kPhantomOptions[] = {"out", "dims", "tumors", "seed", "nodes",
                                                 "replicas"};
 constexpr std::string_view kImportOptions[] = {"out", "nodes", "replicas"};
 constexpr std::string_view kOutOptions[] = {"out"};
-constexpr std::string_view kJobsOptions[] = {"file"};
 constexpr std::string_view kScrubOptions[] = {"json"};
 constexpr std::string_view kRepairOptions[] = {"add-checksums"};
 
@@ -247,27 +234,7 @@ int cmd_info(const Args& args, std::ostream& out) {
   return 0;
 }
 
-/// Tile-cache knobs shared by analyze/simulate/serve/jobs: --tile-cache-mb
-/// sets the budget (0 = off), --tile-shape W,H the tile extents,
-/// --prefetch-depth how many slices the raster-order prefetcher may run
-/// ahead.
-io::TileCacheConfig cache_config_from_args(const Args& args) {
-  io::TileCacheConfig cache;
-  cache.budget_bytes =
-      static_cast<std::size_t>(args.get_int("tile-cache-mb", 0)) * 1024 * 1024;
-  const std::vector<int> shape = args.get_int_list("tile-shape");
-  if (!shape.empty()) {
-    if (shape.size() != 2) {
-      throw std::runtime_error("--tile-shape needs exactly W,H (two values)");
-    }
-    cache.tile_w = shape[0];
-    cache.tile_h = shape[1];
-  }
-  cache.prefetch_depth = args.get_int("prefetch-depth", cache.prefetch_depth);
-  return cache;
-}
-
-/// Tail-tolerance knobs shared by analyze/simulate/serve/jobs (docs/TAIL.md):
+/// Tail-tolerance knobs shared by analyze and simulate (docs/TAIL.md):
 /// --read-deadline-ms arms per-read deadlines (auto = clamp(k x node p99,
 /// floor, ceiling); a number pins a fixed deadline), --hedge-pct P arms
 /// hedged replica reads at the P-th percentile of the primary node's own
@@ -341,9 +308,6 @@ core::PipelineConfig pipeline_from_args(const Args& args, const std::string& dat
     throw std::runtime_error("--resume on requires --checkpoint FILE");
   }
 
-  // Out-of-core tile cache between the RFR readers and the slice files.
-  cfg.cache = cache_config_from_args(args);
-
   // Tail-tolerant I/O: adaptive deadlines, hedged reads, slow-node eviction.
   cfg.tail = tail_config_from_args(args);
 
@@ -364,6 +328,14 @@ core::PipelineConfig pipeline_from_args(const Args& args, const std::string& dat
     cfg.hpc_copies = std::max(1, workers - cfg.hcc_copies);
   }
   return cfg;
+}
+
+/// The run summary's `maps crc32` line (core::maps_crc32): lets a CLI
+/// comparison see every bit of the float maps, not just the 8-bit PGMs.
+void print_maps_digest(const core::AnalysisResult& result, std::ostream& out) {
+  char hex[9];
+  std::snprintf(hex, sizeof hex, "%08x", core::maps_crc32(result));
+  out << "maps crc32 " << hex << "\n";
 }
 
 void print_fault_report(const io::FaultReport& report, std::ostream& out) {
@@ -398,18 +370,6 @@ void finish_observability(const Args& args, const fs::RunStats& stats,
                           const fs::TraceRecorder& trace, const fs::MetricsExtra& extra,
                           std::ostream& out) {
   print_exec_report(stats.exec, out);
-  if (stats.cache.present) {
-    const fs::CacheReport& c = stats.cache;
-    const double rate = c.lookups > 0
-                            ? static_cast<double>(c.hits) / static_cast<double>(c.lookups)
-                            : 0.0;
-    out << "cache: " << c.budget_bytes / (1024 * 1024) << " MiB, "
-        << c.hits << "/" << c.lookups << " hits (" << static_cast<int>(rate * 100)
-        << "%), " << c.bytes_served_cache / 1024 << " KiB served, "
-        << c.bytes_read_disk / 1024 << " KiB from disk, prefetch "
-        << c.prefetch_useful << "/" << c.prefetch_issued << " useful, "
-        << c.evictions << " evictions\n";
-  }
   if (stats.tail.present) {
     const fs::TailReport& t = stats.tail;
     out << "io tail: deadline " << t.deadline_mode << ", " << t.reads
@@ -450,6 +410,7 @@ int cmd_analyze(const Args& args, std::ostream& out) {
   out << "analyzed " << dataset << " in " << result.stats.total_seconds << "s wall, "
       << result.maps.size() << " feature maps over " << result.origins.size.str()
       << " origins\n";
+  print_maps_digest(result, out);
   print_fault_report(result.faults, out);
   finish_observability(args, result.stats, trace, {}, out);
 
@@ -508,6 +469,7 @@ int cmd_simulate(const Args& args, std::ostream& out) {
       << workers << " texture nodes (modeled PIII cluster)\n"
       << "network: " << r.sim.network_bytes / 1024 << " KiB in " << r.sim.network_transfers
       << " transfers\n";
+  print_maps_digest(r, out);
   std::map<std::string, double> busy;
   for (const auto& c : r.sim.copies) busy[c.filter] += c.busy_seconds;
   for (const auto& [filter, seconds] : busy) {
@@ -550,217 +512,6 @@ int cmd_repair(const Args& args, std::ostream& out) {
   return report.complete() ? 0 : 1;
 }
 
-/// Shared JobManager knobs of the serve and jobs verbs.
-svc::JobManager::Options manager_options_from_args(const Args& args) {
-  svc::JobManager::Options mopt;
-  mopt.workers = args.get_int("job-workers", 2);
-  mopt.max_pending = static_cast<std::size_t>(args.get_int("admit-cap", 32));
-  mopt.tenant_max_pending = static_cast<std::size_t>(args.get_int("tenant-pending", 0));
-  mopt.tenant_max_running = static_cast<std::size_t>(args.get_int("tenant-running", 0));
-  mopt.degrade_watermark = static_cast<std::size_t>(args.get_int("degrade-watermark", 0));
-  mopt.checkpoint_dir = args.get("ckpt-dir", "");
-  // One process-wide tile cache shared by every job (per-tenant accounting);
-  // absent or zero --tile-cache-mb leaves jobs cache-less.
-  const io::TileCacheConfig cache = cache_config_from_args(args);
-  if (cache.enabled()) mopt.tile_cache = std::make_shared<io::TileCache>(cache);
-  // One process-wide tail layer (latency tracker + helper pool) shared the
-  // same way; the manager builds the shared instances when enabled.
-  mopt.tail = tail_config_from_args(args);
-  return mopt;
-}
-
-/// End-of-run service accounting: the counters, the per-tenant table, the
-/// accounting identity, and the optional --jobs-metrics export. Returns 0
-/// when every job is terminal and the identity holds.
-int finish_service(const Args& args, const svc::ServiceStats& stats, std::ostream& out) {
-  const svc::ServiceCounters& c = stats.counters;
-  out << "jobs: " << c.submitted << " submitted = " << c.completed << " completed + "
-      << c.rejected << " rejected + " << c.shed << " shed + " << c.failed
-      << " failed\n"
-      << "      rejected: " << c.rejected_queue_full << " queue_full, "
-      << c.rejected_quota << " quota, " << c.rejected_deadline
-      << " deadline_infeasible\n"
-      << "      " << c.retried << " retried, " << c.deadline_missed
-      << " deadline_missed, " << c.cancelled << " cancelled, " << c.degraded
-      << " degraded\n";
-  for (const auto& t : stats.tenants) {
-    out << "  tenant " << t.tenant << " (w=" << t.weight << "): " << t.submitted
-        << " submitted, " << t.completed << " completed, " << t.rejected
-        << " rejected, " << t.shed << " shed, " << t.failed << " failed, "
-        << t.busy_seconds << "s busy";
-    if (stats.cache.present) {
-      out << ", cache " << t.cache_hits << "/" << (t.cache_hits + t.cache_misses)
-          << " hits, " << t.cache_resident_bytes / 1024 << " KiB resident";
-    }
-    out << "\n";
-  }
-  if (stats.cache.present) {
-    const fs::CacheReport& cr = stats.cache;
-    out << "cache: " << cr.budget_bytes / (1024 * 1024) << " MiB, "
-        << cr.hits << "/" << cr.lookups << " hits, " << cr.bytes_served_cache / 1024
-        << " KiB served, " << cr.evictions << " evictions, "
-        << cr.resident_bytes / 1024 << " KiB resident\n";
-  }
-  if (args.has("jobs-metrics")) {
-    const std::string path = args.get("jobs-metrics", "");
-    svc::write_jobs_metrics_file(path, stats);
-    out << "jobs-metrics: wrote " << path << "\n";
-  }
-  bool terminal = true;
-  for (const auto& j : stats.jobs) terminal = terminal && svc::state_terminal(j.state);
-  const bool identity =
-      c.submitted == c.completed + c.rejected + c.shed + c.failed &&
-      c.rejected == c.rejected_queue_full + c.rejected_quota + c.rejected_deadline;
-  if (!terminal) out << "ERROR: non-terminal jobs remain after drain\n";
-  if (!identity) out << "ERROR: accounting identity violated\n";
-  return terminal && identity ? 0 : 1;
-}
-
-int cmd_serve(const Args& args, std::ostream& out) {
-  if (args.positional().empty()) throw std::runtime_error("serve: need a dataset directory");
-  const std::string dataset = args.positional()[0];
-
-  svc::WorkloadConfig wl;
-  wl.jobs = args.get_int("jobs", 200);
-  wl.tenants = args.get_int("tenants", 4);
-  wl.seed = static_cast<std::uint64_t>(args.get_int("seed", 2004));
-  wl.arrival_ms = args.get_int("arrival-ms", 0);
-  wl.deadline_fraction = args.get_int("deadline-pct", 0) / 100.0;
-  wl.deadline_s = args.get_int("deadline-ms", 500) / 1000.0;
-  wl.max_retries = args.get_int("job-retries", 0);
-  wl.est_scale = args.get_int("est-ms", 0) / 1000.0;
-  wl.simulate = args.get_choice("mode", {"threaded", "sim"}) == "sim";
-  wl.base.config = pipeline_from_args(args, dataset);
-  wl.base.threaded.supervise = supervisor_from_args(args);
-  if (wl.simulate) {
-    const io::DatasetMeta meta = io::DatasetMeta::load(dataset);
-    const int first_texture = place_for_simulation(wl.base.config, meta);
-    const int workers = args.get_int("workers", 4);
-    wl.base.sim.cluster = sim::make_piii_cluster(first_texture + workers + 2);
-    wl.base.sim.failures = sim::FailureModel::parse(args.get("sim-failures", ""));
-  }
-
-  const std::vector<svc::WorkloadJob> workload = svc::make_workload(wl);
-  svc::JobManager manager(manager_options_from_args(args));
-
-  // Closed loop: submit on the workload's seeded arrival schedule (flood
-  // when --arrival-ms is 0), then drain to quiescence.
-  const auto start = std::chrono::steady_clock::now();
-  for (const auto& wj : workload) {
-    const auto due = start + std::chrono::duration_cast<std::chrono::steady_clock::duration>(
-                                 std::chrono::duration<double>(wj.arrival_s));
-    std::this_thread::sleep_until(due);
-    manager.submit(wj.spec);
-  }
-  manager.drain();
-  const double wall = std::chrono::duration<double>(
-                          std::chrono::steady_clock::now() - start).count();
-  manager.shutdown();
-
-  const svc::ServiceStats stats = manager.snapshot();
-  out << "served " << workload.size() << " jobs in " << wall << "s ("
-      << (wl.simulate ? "simulator" : "threaded") << " executor)\n";
-  return finish_service(args, stats, out);
-}
-
-/// Parse one `h4d jobs` job line: whitespace-separated key=value tokens
-/// among tenant, priority, deadline_ms, est_ms, retries, levels, features,
-/// roi (X,Y,Z,T), sim (on|off). Unknown keys fail loudly.
-svc::JobSpec parse_job_line(const std::string& line, const svc::JobSpec& base) {
-  svc::JobSpec spec = base;
-  std::istringstream is(line);
-  std::string token;
-  while (is >> token) {
-    const auto eq = token.find('=');
-    if (eq == std::string::npos) {
-      throw std::runtime_error("jobs: expected key=value, got '" + token + "'");
-    }
-    const std::string key = token.substr(0, eq);
-    const std::string value = token.substr(eq + 1);
-    if (key == "tenant") {
-      spec.tenant = value;
-    } else if (key == "priority") {
-      spec.priority = svc::priority_from_name(value);
-    } else if (key == "deadline_ms") {
-      spec.deadline_s = std::stod(value) / 1000.0;
-    } else if (key == "est_ms") {
-      spec.est_seconds = std::stod(value) / 1000.0;
-    } else if (key == "retries") {
-      spec.max_retries = std::stoi(value);
-    } else if (key == "levels") {
-      spec.config.engine.num_levels = std::stoi(value);
-    } else if (key == "features") {
-      spec.config.engine.features = value == "all" ? haralick::FeatureSet::all()
-                                                   : haralick::FeatureSet::paper_eval();
-    } else if (key == "roi") {
-      std::istringstream rs(value);
-      std::string part;
-      for (int d = 0; d < kDims; ++d) {
-        if (!std::getline(rs, part, ',')) {
-          throw std::runtime_error("jobs: roi needs 4 comma-separated values");
-        }
-        spec.config.engine.roi_dims[d] = std::stoll(part);
-      }
-    } else if (key == "sim") {
-      spec.simulate = value == "on";
-    } else {
-      throw std::runtime_error("jobs: unknown key '" + key + "' in job line");
-    }
-  }
-  return spec;
-}
-
-int cmd_jobs(const Args& args, std::ostream& out) {
-  if (args.positional().empty()) throw std::runtime_error("jobs: need a dataset directory");
-  const std::string dataset = args.positional()[0];
-  const std::string file = args.require("file");
-
-  svc::JobSpec base;
-  base.config = pipeline_from_args(args, dataset);
-  base.threaded.supervise = supervisor_from_args(args);
-  const bool any_sim = args.get_choice("mode", {"threaded", "sim"}) == "sim";
-  if (any_sim) {
-    const io::DatasetMeta meta = io::DatasetMeta::load(dataset);
-    const int first_texture = place_for_simulation(base.config, meta);
-    base.sim.cluster = sim::make_piii_cluster(first_texture + args.get_int("workers", 4) + 2);
-    base.simulate = true;
-  }
-
-  std::ifstream in(file);
-  if (!in) throw std::runtime_error("jobs: cannot read " + file);
-  std::vector<svc::JobSpec> specs;
-  std::string line;
-  while (std::getline(in, line)) {
-    const auto first = line.find_first_not_of(" \t");
-    if (first == std::string::npos || line[first] == '#') continue;
-    specs.push_back(parse_job_line(line, base));
-  }
-  if (specs.empty()) throw std::runtime_error("jobs: no job lines in " + file);
-
-  svc::JobManager manager(manager_options_from_args(args));
-  std::vector<std::int64_t> ids;
-  ids.reserve(specs.size());
-  for (auto& spec : specs) ids.push_back(manager.submit(std::move(spec)).id);
-  manager.drain();
-  manager.shutdown();
-
-  const svc::ServiceStats stats = manager.snapshot();
-  for (const std::int64_t id : ids) {
-    const svc::JobRecord r = manager.job(id);
-    out << "job " << r.id << " [" << r.tenant << "/" << svc::priority_name(r.priority)
-        << "] " << svc::state_name(r.state);
-    if (r.state == svc::JobState::Rejected) {
-      out << " (" << svc::reject_reason_name(r.reject_reason) << ")";
-    }
-    if (r.attempts > 0) out << " attempts=" << r.attempts;
-    if (r.degraded) out << " degraded";
-    if (r.deadline_missed) out << " deadline_missed";
-    if (!r.error.empty()) out << " error=\"" << r.error << "\"";
-    out << "\n";
-  }
-  return finish_service(args, stats, out);
-}
-
 int usage(std::ostream& err) {
   err << "usage: h4d <command> [options]\n"
          "\n"
@@ -778,24 +529,11 @@ int usage(std::ostream& err) {
          "           [--supervise fail|restart|quarantine] [--max-restarts N]\n"
          "           [--poison N] [--watchdog-ms N]\n"
          "           [--checkpoint FILE] [--resume on|off]\n"
-         "           [--tile-cache-mb N] [--tile-shape W,H]\n"
-         "           [--prefetch-depth N]\n"
          "           [--read-deadline-ms auto|N] [--hedge-pct P]\n"
          "           [--hedge-max-inflight N]\n"
          "           [--trace FILE] [--metrics FILE]\n"
          "  simulate DATASET_DIR [analyze options except --out and --supervise\n"
          "           and its knobs] [--sim-failures SPEC]\n"
-         "  serve    DATASET_DIR [--jobs N] [--tenants N] [--seed S]\n"
-         "           [--arrival-ms N] [--deadline-pct P] [--deadline-ms N]\n"
-         "           [--job-retries N] [--est-ms N] [--mode threaded|sim]\n"
-         "           [--job-workers N] [--admit-cap N] [--tenant-pending N]\n"
-         "           [--tenant-running N] [--degrade-watermark N]\n"
-         "           [--ckpt-dir DIR] [--jobs-metrics FILE]\n"
-         "           [plus analyze pipeline options]\n"
-         "  jobs     DATASET_DIR --file JOBS.txt [--mode threaded|sim]\n"
-         "           [--job-workers N] [--admit-cap N] [--tenant-pending N]\n"
-         "           [--tenant-running N] [--degrade-watermark N]\n"
-         "           [--ckpt-dir DIR] [--jobs-metrics FILE]\n"
          "  scrub    DATASET_DIR [--json FILE]\n"
          "  repair   DATASET_DIR [--add-checksums on|off]\n"
          "\n"
@@ -808,6 +546,9 @@ int usage(std::ostream& err) {
          "                      bottleneck report; .csv -> per-copy CSV table,\n"
          "                      otherwise JSON (schema h4d-metrics-v1). The\n"
          "                      bottleneck report also prints after every run\n"
+         "  maps crc32 H        printed by analyze and simulate: CRC-32 of every\n"
+         "                      float32 feature map in feature order; equal\n"
+         "                      across variants, representations and executors\n"
          "\n"
          "resilience:\n"
          "  --faults SPEC       inject deterministic storage faults; SPEC is\n"
@@ -860,19 +601,6 @@ int usage(std::ostream& err) {
          "                      HCC and HPC filters and the cost-model units;\n"
          "                      every setting writes the same maps\n"
          "\n"
-         "tile cache (see docs/CACHE.md):\n"
-         "  --tile-cache-mb N   memory budget of the shared out-of-core tile\n"
-         "                      cache between the readers and the slice files\n"
-         "                      (0 = off, the default); repeated / overlapping\n"
-         "                      reads are served from memory, byte-identical\n"
-         "                      to cache-off. Counters land in the metrics\n"
-         "                      \"cache\" section\n"
-         "  --tile-shape W,H    cached tile extents within a slice\n"
-         "                      (default 64,64)\n"
-         "  --prefetch-depth N  slices the raster-order prefetcher may run\n"
-         "                      ahead of the demand loop (0 = no prefetch;\n"
-         "                      default 2; off under --faults)\n"
-         "\n"
          "tail-tolerant I/O (see docs/TAIL.md):\n"
          "  --read-deadline-ms D  per-read deadline on verified slice reads:\n"
          "                      auto = clamp(3 x node p99, 5 ms, 500 ms),\n"
@@ -888,42 +616,7 @@ int usage(std::ostream& err) {
          "                      breaches evict the slow node (reason slow)\n"
          "                      with the usual probation / probe re-admission\n"
          "  --hedge-max-inflight N  cap on concurrently outstanding hedge\n"
-         "                      reads across the run (default 4)\n"
-         "\n"
-         "multi-tenant service (see DESIGN.md sec. 14):\n"
-         "  serve               closed-loop seeded workload against the\n"
-         "                      JobManager: --jobs jobs from --tenants tenants\n"
-         "                      with heavy-tailed sizes, submitted on a seeded\n"
-         "                      exponential arrival schedule (--arrival-ms\n"
-         "                      mean gap; 0 = flood), then drained\n"
-         "  jobs                explicit job list from --file (one job per\n"
-         "                      line: key=value tokens among tenant, priority,\n"
-         "                      deadline_ms, est_ms, retries, levels,\n"
-         "                      features, roi, sim; # starts a comment)\n"
-         "  --mode threaded|sim run jobs on this machine's threads or on the\n"
-         "                      modeled PIII cluster (virtual time)\n"
-         "  --job-workers N     concurrent jobs (each job still runs its own\n"
-         "                      pipeline with its own filter copies)\n"
-         "  --admit-cap N       bounded admission queue; a full queue sheds\n"
-         "                      the lowest-priority pending job (if the\n"
-         "                      newcomer outranks it) or rejects (queue_full)\n"
-         "  --tenant-pending N  per-tenant pending quota (quota_exceeded)\n"
-         "  --tenant-running N  per-tenant running cap (jobs wait, not fail)\n"
-         "  --deadline-pct P    percent of generated jobs given --deadline-ms\n"
-         "                      wall deadlines; pending jobs past deadline\n"
-         "                      fail, running ones cancel cooperatively\n"
-         "  --est-ms N          cost-estimate scale per workload cost unit;\n"
-         "                      estimates above the deadline are rejected as\n"
-         "                      deadline_infeasible\n"
-         "  --job-retries N     retry failed attempts with exponential\n"
-         "                      backoff, fault seeds re-salted per attempt\n"
-         "  --degrade-watermark N  backlog size past which low-priority jobs\n"
-         "                      are admitted with coarsened quantization\n"
-         "  --ckpt-dir DIR      per-job checkpoint manifests (job_<id>.ckpt,\n"
-         "                      ownership-stamped) land here\n"
-         "  --jobs-metrics FILE export the \"jobs\" section (schema\n"
-         "                      h4d-jobs-v1): counters, per-tenant table,\n"
-         "                      per-job rows; validated by check_metrics.py\n";
+         "                      reads across the run (default 4)\n";
   return 2;
 }
 
@@ -954,16 +647,6 @@ int run(int argc, const char* const* argv, std::ostream& out, std::ostream& err)
     if (cmd == "simulate") {
       args.reject_unknown(cmd, {kPipelineOptions, kExportOptions, kSimOptions});
       return cmd_simulate(args, out);
-    }
-    if (cmd == "serve") {
-      args.reject_unknown(cmd, {kPipelineOptions, kSuperviseOptions, kServiceOptions,
-                                kServeOptions, kSimOptions});
-      return cmd_serve(args, out);
-    }
-    if (cmd == "jobs") {
-      args.reject_unknown(cmd, {kPipelineOptions, kSuperviseOptions, kServiceOptions,
-                                kJobsOptions});
-      return cmd_jobs(args, out);
     }
     if (cmd == "scrub") {
       args.reject_unknown(cmd, {kScrubOptions});

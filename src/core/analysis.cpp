@@ -22,30 +22,6 @@ AnalysisResult finish(std::shared_ptr<filters::CollectedResults> collected,
   return r;
 }
 
-/// Fill RunStats.cache from the run's summed copy meters plus the cache
-/// instance itself (configuration echo and end-of-run occupancy).
-void fill_cache_report(fs::RunStats& stats, const filters::ParamsPtr& params) {
-  if (!params->tile_cache) return;
-  fs::CacheReport& c = stats.cache;
-  c.present = true;
-  const io::TileCacheConfig& cfg = params->cache;
-  c.budget_bytes = static_cast<std::int64_t>(cfg.budget_bytes);
-  c.tile_w = cfg.tile_w;
-  c.tile_h = cfg.tile_h;
-  c.prefetch_depth = cfg.prefetch_depth;
-  for (const fs::CopyStats& copy : stats.copies) {
-    c.hits += copy.meter.cache_hits;
-    c.misses += copy.meter.cache_misses;
-    c.bytes_read_disk += copy.meter.disk_bytes_read;
-    c.bytes_served_cache += copy.meter.cache_bytes_served;
-    c.prefetch_issued += copy.meter.prefetch_issued;
-    c.prefetch_useful += copy.meter.prefetch_useful;
-    c.evictions += copy.meter.cache_evictions;
-  }
-  c.lookups = c.hits + c.misses;
-  c.resident_bytes = params->tile_cache->resident_bytes();
-}
-
 /// Fill RunStats.tail from the shared LatencyTracker (exact run totals),
 /// the configuration echo, and the replica set's eviction events.
 void fill_tail_report(fs::RunStats& stats, const filters::ParamsPtr& params) {
@@ -82,6 +58,14 @@ void fill_tail_report(fs::RunStats& stats, const filters::ParamsPtr& params) {
 
 }  // namespace
 
+std::uint32_t maps_crc32(const AnalysisResult& result) {
+  std::uint32_t crc = 0;
+  for (const auto& [feature, map] : result.maps) {
+    crc = io::crc32(map.data(), map.storage().size() * sizeof(float), crc);
+  }
+  return crc;
+}
+
 AnalysisResult analyze_in_memory(const Volume4<std::uint16_t>& volume,
                                  const haralick::EngineConfig& engine) {
   const Volume4<Level> levels = quantize_volume(volume, engine.num_levels);
@@ -115,7 +99,6 @@ AnalysisResult analyze_threaded(PipelineConfig config,
   r.stats.exec.chunks_resumed = params->chunks_resumed;
   r.stats.exec.replica_failovers = r.faults.replica_failovers;
   r.stats.exec.nodes_evicted = r.faults.nodes_evicted;
-  fill_cache_report(r.stats, params);
   fill_tail_report(r.stats, params);
   return r;
 }
@@ -132,7 +115,6 @@ AnalysisResult analyze_simulated(PipelineConfig config, const sim::SimOptions& s
   r.stats.exec.chunks_resumed = params->chunks_resumed;
   r.stats.exec.replica_failovers = r.faults.replica_failovers;
   r.stats.exec.nodes_evicted = r.faults.nodes_evicted;
-  fill_cache_report(r.stats, params);
   fill_tail_report(r.stats, params);
   return r;
 }

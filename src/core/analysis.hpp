@@ -9,6 +9,7 @@
 //                           experiments; outputs identical to the above).
 #pragma once
 
+#include <cstdint>
 #include <map>
 
 #include "core/pipeline.hpp"
@@ -29,6 +30,10 @@ struct AnalysisResult {
   /// exact slices degraded to fill under skip_and_fill.
   io::FaultReport faults;
 };
+
+/// CRC-32 (io::crc32) chained over the bytes of every float32 map, in
+/// feature order. Runs that agree bit for bit print the same digest.
+std::uint32_t maps_crc32(const AnalysisResult& result);
 
 /// Sequential reference implementation (paper Fig. 2) on an in-memory
 /// uint16 volume. Requantizes by the volume's min/max.

@@ -37,13 +37,7 @@ filters::ParamsPtr make_params(const PipelineConfig& config) {
   p.faults = config.faults;
   p.checkpoint_path = config.checkpoint_path;
   p.resume = config.resume;
-  p.job_tag = config.job_tag;
-  p.cache = config.cache;
-  p.tile_cache = config.tile_cache;
-  p.cache_tenant = config.cache_tenant;
   p.tail = config.tail;
-  p.latency = config.latency;
-  p.io_pool = config.io_pool;
   return filters::PipelineParams::make(std::move(p));
 }
 

@@ -74,34 +74,11 @@ struct PipelineConfig {
   /// the work list before the run starts.
   std::filesystem::path checkpoint_path;
   bool resume = false;
-  /// Identity of the job this run belongs to, folded into the checkpoint
-  /// manifest's ownership token (with the dataset and the chunk-grid
-  /// parameters). Concurrent jobs (src/svc) namespace their manifests by job
-  /// id AND stamp this tag, so --resume refuses a manifest written by a
-  /// different job or configuration instead of pruning the wrong chunks.
-  /// Empty: ownership covers only dataset + configuration.
-  std::string job_tag;
-
-  /// Shared out-of-core tile cache between the RFR readers and the slice
-  /// files (--tile-cache-mb/--tile-shape/--prefetch-depth).
-  /// A zero budget disables it. When `tile_cache` is set (service layer /
-  /// bench harnesses), that process-wide instance is used instead of a
-  /// private one — except under fault injection, where the run always gets
-  /// a private cache so deterministic drills stay byte-identical.
-  io::TileCacheConfig cache;
-  std::shared_ptr<io::TileCache> tile_cache;
-  /// Tenant the cached bytes are accounted to (svc: the job's tenant).
-  std::string cache_tenant;
 
   /// Tail-tolerant I/O on the RFR read path (--read-deadline-ms,
   /// --hedge-pct, --hedge-max-inflight): adaptive per-read deadlines,
   /// hedged replica reads, slow-node eviction. Default-constructed = off.
-  /// When `latency` / `io_pool` are set (service layer), those shared
-  /// instances are used — node latency reputation then spans jobs;
-  /// make_params builds private ones otherwise.
   io::TailConfig tail;
-  std::shared_ptr<io::LatencyTracker> latency;
-  std::shared_ptr<io::SliceFetchPool> io_pool;
 };
 
 /// Build the filter graph for a configuration. When `collected` is non-null

@@ -1,89 +1,12 @@
 #include "filters/input_filters.hpp"
 
 #include <algorithm>
-#include <condition_variable>
-#include <mutex>
 #include <set>
 #include <stdexcept>
-#include <thread>
 
 #include "nd/quantize.hpp"
 
 namespace h4d::filters {
-
-namespace {
-
-/// Per-copy slice prefetcher: walks the planner's raster-order hints
-/// (filtered to this node's owned slices) on its own thread through its own
-/// ResilientReader, staying at most `depth` slices ahead of the demand
-/// loop. RAII: destruction stops and joins the thread, so an exception in
-/// the demand loop cannot leak it.
-class SlicePrefetcher {
- public:
-  SlicePrefetcher(const PipelineParams& p, int node, int tenant,
-                  std::vector<io::SliceRef> refs)
-      : depth_(p.cache.prefetch_depth),
-        refs_(std::move(refs)),
-        reader_(io::StorageNodeReader(p.dataset_root / io::node_dir_name(node), p.meta,
-                                      node),
-                p.resilience, /*injector=*/nullptr, /*sink=*/nullptr,
-                p.replica_set.get()) {
-    reader_.attach_cache(p.tile_cache.get(), p.cache_dataset, tenant);
-    thread_ = std::thread([this] { run(); });
-  }
-
-  ~SlicePrefetcher() { stop(); }
-
-  /// The demand loop finished one of its slices: the prefetcher may advance.
-  void slice_done() {
-    {
-      std::lock_guard lk(mu_);
-      ++done_;
-    }
-    cv_.notify_all();
-  }
-
-  /// Stop, join, and account the prefetch reader's disk traffic.
-  void finish(fs::WorkMeter& meter) {
-    stop();
-    meter.disk_bytes_read += reader_.bytes_read();
-    meter.disk_seeks += reader_.seeks_performed();
-  }
-
- private:
-  void stop() {
-    {
-      std::lock_guard lk(mu_);
-      stop_ = true;
-    }
-    cv_.notify_all();
-    if (thread_.joinable()) thread_.join();
-  }
-
-  void run() {
-    std::int64_t issued = 0;
-    for (const io::SliceRef& ref : refs_) {
-      {
-        std::unique_lock lk(mu_);
-        cv_.wait(lk, [&] { return stop_ || issued - done_ < depth_; });
-        if (stop_) return;
-      }
-      reader_.prefetch_slice(ref);
-      ++issued;
-    }
-  }
-
-  const std::int64_t depth_;
-  std::vector<io::SliceRef> refs_;
-  io::ResilientReader reader_;
-  std::mutex mu_;
-  std::condition_variable cv_;
-  std::int64_t done_ = 0;
-  bool stop_ = false;
-  std::thread thread_;
-};
-
-}  // namespace
 
 void RawFileReader::run_source(fs::FilterContext& ctx) {
   const int node = ctx.copy_index();
@@ -104,14 +27,7 @@ void RawFileReader::run_source(fs::FilterContext& ctx) {
       io::StorageNodeReader(p_->dataset_root / io::node_dir_name(node), p_->meta, node),
       p_->resilience, p_->fault_injector.get(), p_->fault_sink.get(),
       p_->replica_set.get());
-  int cache_tenant = 0;
-  if (p_->tile_cache) {
-    cache_tenant = p_->tile_cache->tenant_id(p_->cache_tenant);
-    reader.attach_cache(p_->tile_cache.get(), p_->cache_dataset, cache_tenant);
-  }
-  // Tail layer on the demand reader only: the prefetcher's reads are already
-  // off the critical path, so hedging them would just burn replica bandwidth.
-  if (p_->latency && p_->io_pool && p_->tail.enabled()) {
+  if (p_->latency && p_->io_pool) {
     reader.attach_tail(p_->tail, p_->latency.get(), p_->io_pool.get());
   }
   const Quantizer quant = p_->quantizer();
@@ -124,9 +40,6 @@ void RawFileReader::run_source(fs::FilterContext& ctx) {
   std::int64_t seq = 0;
   std::int64_t seeks_before = 0;
   std::int64_t bytes_before = 0;
-  std::int64_t cache_hits_before = 0;
-  std::int64_t cache_misses_before = 0;
-  std::int64_t cache_served_before = 0;
   io::FaultReport report_before;
   std::int64_t hedges_issued_before = 0;
   std::int64_t hedges_won_before = 0;
@@ -134,27 +47,6 @@ void RawFileReader::run_source(fs::FilterContext& ctx) {
   std::int64_t reads_abandoned_before = 0;
   std::int64_t tail_breaches_before = 0;
   std::int64_t slow_evictions_before = 0;
-
-  // Raster-order prefetch: pull this node's upcoming slices into the shared
-  // cache while the demand loop (and everything downstream) computes. Off
-  // under fault injection — the drill must see the cache-off read schedule.
-  std::unique_ptr<SlicePrefetcher> prefetcher;
-  if (p_->tile_cache && p_->cache.prefetch_depth > 0 && !p_->fault_injector &&
-      !p_->prefetch_slices.empty()) {
-    std::vector<io::SliceRef> owned;
-    for (const SliceCoord& s : p_->prefetch_slices) {
-      int owner = replicas.read_owner(s.z, s.t);
-      if (owner < 0) owner = replicas.first_alive_node();
-      if (owner != node) continue;
-      io::SliceRef ref{s.t, s.z, io::slice_filename(s.t, s.z), 0, false};
-      if (const io::SliceRef* indexed = reader.find_slice(s.t, s.z)) ref = *indexed;
-      owned.push_back(ref);
-    }
-    if (!owned.empty()) {
-      prefetcher =
-          std::make_unique<SlicePrefetcher>(*p_, node, cache_tenant, std::move(owned));
-    }
-  }
 
   // Each slice is read by exactly one copy — its read owner (first surviving
   // replica in rank order) — so replication never duplicates pieces. With
@@ -186,13 +78,6 @@ void RawFileReader::run_source(fs::FilterContext& ctx) {
         ctx.meter().disk_bytes_read += reader.bytes_read() - bytes_before;
         seeks_before = reader.seeks_performed();
         bytes_before = reader.bytes_read();
-        ctx.meter().cache_hits += reader.cache_hits() - cache_hits_before;
-        ctx.meter().cache_misses += reader.cache_misses() - cache_misses_before;
-        ctx.meter().cache_bytes_served +=
-            reader.cache_bytes_served() - cache_served_before;
-        cache_hits_before = reader.cache_hits();
-        cache_misses_before = reader.cache_misses();
-        cache_served_before = reader.cache_bytes_served();
         const io::FaultReport& rep = reader.report();
         ctx.meter().read_retries += rep.read_retries - report_before.read_retries;
         ctx.meter().slices_skipped += rep.slices_skipped - report_before.slices_skipped;
@@ -248,19 +133,7 @@ void RawFileReader::run_source(fs::FilterContext& ctx) {
           ctx.emit(kPortPieces, fs::make_buffer(h, levels));
         }
       }
-      if (prefetcher) prefetcher->slice_done();
     }
-  }
-  // Stop the prefetcher and account its disk traffic, then drain the cache's
-  // run-global counters (evictions and prefetch bookkeeping live on the cache,
-  // not on any one reader) so totals are conserved across copies.
-  if (prefetcher) prefetcher->finish(ctx.meter());
-  if (p_->tile_cache) {
-    std::int64_t ev = 0, pi = 0, pu = 0;
-    p_->tile_cache->drain_unmetered(ev, pi, pu);
-    ctx.meter().cache_evictions += ev;
-    ctx.meter().prefetch_issued += pi;
-    ctx.meter().prefetch_useful += pu;
   }
   // Planned (static) failovers join the dynamic ones ResilientReader merged
   // on destruction, so the run's fault report shows every rerouted read.

@@ -18,7 +18,6 @@
 #include "io/replica_set.hpp"
 #include "io/resilient_reader.hpp"
 #include "io/tail.hpp"
-#include "io/tile_cache.hpp"
 #include "nd/chunking.hpp"
 
 namespace h4d::filters {
@@ -61,10 +60,6 @@ struct PipelineParams {
   /// pruned from the work list before the run starts.
   std::filesystem::path checkpoint_path;
   bool resume = false;
-  /// Job identity folded into the manifest's ownership token (src/svc
-  /// namespaces manifests per job and stamps the job id here). Empty for
-  /// solo runs: the token then covers only dataset + chunk-grid identity.
-  std::string job_tag;
 
   /// The overlapping chunk partition (derived; computed once via make()).
   /// With resume, completed chunks are already pruned from this list; their
@@ -87,35 +82,16 @@ struct PipelineParams {
   std::shared_ptr<io::ChunkManifest> manifest;
   std::shared_ptr<io::ChunkCompletionTracker> completion;
 
-  /// Tile-cache knobs (--tile-cache-mb/--tile-shape/--prefetch-depth).
-  /// Disabled (budget 0) => no cache.
-  io::TileCacheConfig cache;
-  /// The cache instance the RFR readers go through. The service layer hands
-  /// every job the process-wide shared instance; make() builds a private one
-  /// for solo runs when `cache` is enabled. Fault-injected runs always get a
-  /// private instance (or none): a deterministic drill must not be perturbed
-  /// by tiles another run cached.
-  std::shared_ptr<io::TileCache> tile_cache;
-  /// Tenant the cached bytes are accounted to (svc sets the job's tenant;
-  /// empty => "local").
-  std::string cache_tenant;
-  /// Cache key of this dataset (derived by make()).
-  std::uint64_t cache_dataset = 0;
-  /// Planner prefetch hints: distinct slices in first-need order over the
-  /// raster-scan chunk sequence (core::plan_prefetch_sequence). Empty when
-  /// the cache or prefetch is off.
-  std::vector<SliceCoord> prefetch_slices;
-
   /// Tail-tolerance knobs (--read-deadline-ms/--hedge-pct/
   /// --hedge-max-inflight); disabled => RFR reads stay fully synchronous.
   io::TailConfig tail;
   /// Per-node read-latency statistics feeding deadlines/hedging (derived by
-  /// make() when tail is on; svc passes its process-wide instance so a
-  /// node's latency reputation spans jobs).
+  /// make() when tail is on).
   std::shared_ptr<io::LatencyTracker> latency;
-  /// I/O helper pool performing abandonable whole-slice fetches. Declared
-  /// after fault_injector: queued requests hold a raw injector pointer, so
-  /// the pool (and its worker threads) must be destroyed first.
+  /// I/O helper pool performing abandonable whole-slice fetches (derived by
+  /// make() when tail is on). Declared after fault_injector: queued requests
+  /// hold a raw injector pointer, so the pool (and its worker threads) must
+  /// be destroyed first.
   std::shared_ptr<io::SliceFetchPool> io_pool;
 
   static std::shared_ptr<const PipelineParams> make(PipelineParams p) {
@@ -158,36 +134,9 @@ struct PipelineParams {
     if (p.faults.enabled()) p.fault_injector = std::make_shared<io::FaultInjector>(p.faults);
     p.fault_sink = std::make_shared<io::FaultReportSink>();
 
-    // Tail layer: solo runs build private instances; the service layer
-    // passes shared ones in (cross-job node reputation, one helper pool).
     if (p.tail.enabled()) {
-      if (!p.latency) {
-        p.latency = std::make_shared<io::LatencyTracker>(p.meta.storage_nodes);
-      }
-      if (!p.io_pool) {
-        p.io_pool =
-            std::make_shared<io::SliceFetchPool>(std::max(1, p.tail.helper_threads));
-      }
-    } else {
-      p.latency = nullptr;
-      p.io_pool = nullptr;
-    }
-
-    // Tile cache: solo runs build a private instance; the service layer (or
-    // a bench harness) passes a shared one in. A fault-injected run never
-    // shares: cached tiles from another run would let a read that the
-    // injected schedule dooms succeed, changing the degraded output.
-    if (p.fault_injector) {
-      p.tile_cache = p.cache.enabled() ? std::make_shared<io::TileCache>(p.cache) : nullptr;
-    } else if (!p.tile_cache && p.cache.enabled()) {
-      p.tile_cache = std::make_shared<io::TileCache>(p.cache);
-    }
-    if (p.tile_cache) {
-      p.cache = p.tile_cache->config();
-      p.cache_dataset = io::TileCache::dataset_key(p.dataset_root.string(), p.meta);
-      if (p.cache.prefetch_depth > 0 && !p.fault_injector) {
-        p.prefetch_slices = raster_slice_order(p.chunks);
-      }
+      p.latency = std::make_shared<io::LatencyTracker>(p.meta.storage_nodes);
+      p.io_pool = std::make_shared<io::SliceFetchPool>(std::max(1, p.tail.helper_threads));
     }
 
     // Static dead list: operator-declared nodes plus node directories found
@@ -224,8 +173,7 @@ struct PipelineParams {
   /// Ownership token for the checkpoint manifest: CRC-32 over everything
   /// that determines chunk-id meaning (dataset, chunk grid, partition
   /// scheme) or the values a chunk's output holds (every engine field that
-  /// changes them), plus the job tag. Two runs share a manifest iff their
-  /// tokens match.
+  /// changes them). Two runs share a manifest iff their tokens match.
   std::string checkpoint_owner_token() const {
     std::ostringstream s;
     s << dataset_root.string();
@@ -239,7 +187,6 @@ struct PipelineParams {
     }
     s << '/' << static_cast<int>(engine.direction_mode) << '/'
       << static_cast<int>(engine.representation) << '/' << static_cast<int>(engine.zero_policy);
-    if (!job_tag.empty()) s << '/' << job_tag;
     const std::string canon = s.str();
     std::ostringstream hex;
     hex << std::hex << io::crc32(canon.data(), canon.size());

@@ -512,31 +512,6 @@ RunStats run_threaded(const FilterGraph& graph, const ThreadedOptions& options) 
     }
   }
 
-  // Canceller: polls the external cancel token and, when it fires, closes
-  // every stream — the same deterministic abort path as a fatal error, but
-  // reported as CancelledError after join instead of a filter exception.
-  std::thread canceller;
-  std::mutex cx_mu;
-  std::condition_variable cx_cv;
-  bool cx_stop = false;
-  std::atomic<bool> cancelled{false};
-  if (options.cancel != nullptr) {
-    canceller = std::thread([&] {
-      const double poll_ms = options.cancel_poll_ms > 0.0 ? options.cancel_poll_ms : 5.0;
-      std::unique_lock lk(cx_mu);
-      while (!cx_stop) {
-        if (options.cancel->load(std::memory_order_acquire)) {
-          cancelled.store(true);
-          shared.aborted.store(true);
-          for (CopyRuntime* c : shared.all) c->inbox->close();
-          return;
-        }
-        cx_cv.wait_for(lk, std::chrono::duration<double, std::milli>(poll_ms),
-                       [&] { return cx_stop; });
-      }
-    });
-  }
-
   // Watchdog: declares a copy dead when one filter call (with no completed
   // handoff) exceeds the deadline, re-routes its pending buffers to live
   // sibling copies, and sends EOS downstream on its behalf so the rest of
@@ -625,23 +600,6 @@ RunStats run_threaded(const FilterGraph& graph, const ThreadedOptions& options) 
     }
     wd_cv.notify_all();
     watchdog.join();
-  }
-  if (canceller.joinable()) {
-    {
-      std::lock_guard lk(cx_mu);
-      cx_stop = true;
-    }
-    cx_cv.notify_all();
-    canceller.join();
-  }
-  if (cancelled.load()) {
-    // Leftover in-flight buffers are intentionally dropped on the floor of
-    // their inboxes; no partial results escaped and the manifest is intact.
-    for (CopyRuntime* c : shared.all) {
-      while (c->inbox->try_pop()) {
-      }
-    }
-    throw CancelledError("run cancelled");
   }
   if (shared.first_error) std::rethrow_exception(shared.first_error);
 

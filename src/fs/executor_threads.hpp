@@ -3,8 +3,6 @@
 // host the transparent copies execute genuinely in parallel.
 #pragma once
 
-#include <atomic>
-
 #include "fs/graph.hpp"
 
 namespace h4d::fs {
@@ -21,17 +19,6 @@ struct ThreadedOptions {
   /// (fs/supervisor.hpp). Default is hardened fail-fast: the first error
   /// closes every stream so all copies unwind, then rethrows after join.
   SupervisorOptions supervise;
-  /// Cooperative cancellation (job deadlines/timeouts, src/svc). When set
-  /// and *cancel becomes true, every stream is closed so all copies unwind
-  /// deterministically — exactly the fail-fast abort path — buffers still in
-  /// flight are drained into the loss inventory, and run_threaded throws
-  /// CancelledError after all threads join. A checkpoint manifest written so
-  /// far stays valid: completed chunks were recorded durably before the cut,
-  /// so a --resume run recomputes only what is missing. Must outlive the run.
-  const std::atomic<bool>* cancel = nullptr;
-  /// How often the cancel token is polled. The poll period bounds the extra
-  /// grace a cancelled run gets on top of its longest single filter call.
-  double cancel_poll_ms = 5.0;
 };
 
 /// Execute the graph to completion and return per-copy statistics.

@@ -106,28 +106,6 @@ struct CopyStats {
   std::int64_t stalled_pushes = 0;  ///< pushes into this inbox that stalled
 };
 
-/// Tile-cache summary of one run: configuration echo plus the counters the
-/// "cache" metrics section exports. `present` is false when the run had no
-/// cache attached (the section is then omitted). Counter identities the
-/// validator (tools/check_metrics.py) holds us to: hits + misses == lookups,
-/// prefetch_useful <= prefetch_issued.
-struct CacheReport {
-  bool present = false;
-  std::int64_t budget_bytes = 0;
-  std::int64_t tile_w = 0;
-  std::int64_t tile_h = 0;
-  std::int64_t prefetch_depth = 0;
-  std::int64_t lookups = 0;         ///< tile probes (hits + misses)
-  std::int64_t hits = 0;
-  std::int64_t misses = 0;
-  std::int64_t bytes_read_disk = 0;    ///< run's total disk read traffic
-  std::int64_t bytes_served_cache = 0;  ///< bytes served without touching disk
-  std::int64_t prefetch_issued = 0;
-  std::int64_t prefetch_useful = 0;
-  std::int64_t evictions = 0;
-  std::int64_t resident_bytes = 0;  ///< cache occupancy at end of run
-};
-
 /// One storage node's row in the io_tail metrics section.
 struct TailNodeRow {
   int node = 0;
@@ -178,8 +156,6 @@ struct RunStats {
   /// Execution-layer damage inventory: restarts, quarantined buffers,
   /// watchdog kills (empty when the run was clean / unsupervised).
   ExecutionReport exec;
-  /// Tile-cache summary (present only when the run read through a cache).
-  CacheReport cache;
   /// Tail-tolerance summary (present only when the tail layer was active).
   TailReport tail;
 

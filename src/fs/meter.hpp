@@ -35,12 +35,6 @@ struct WorkMeter {
   std::int64_t chunks_quarantined = 0;  ///< supervisor: poison buffers dropped here
   std::int64_t watchdog_kills = 0;     ///< supervisor: 1 when declared dead hung
   std::int64_t chunks_resumed = 0;     ///< checkpoint: chunks pruned by resume
-  std::int64_t cache_hits = 0;          ///< tile cache: tile probes served
-  std::int64_t cache_misses = 0;        ///< tile cache: tile probes missed
-  std::int64_t cache_bytes_served = 0;  ///< tile cache: bytes served without disk
-  std::int64_t cache_evictions = 0;     ///< tile cache: tiles evicted (drained)
-  std::int64_t prefetch_issued = 0;     ///< tile cache: tiles inserted by prefetch
-  std::int64_t prefetch_useful = 0;     ///< tile cache: prefetched tiles demand-hit
   std::int64_t hedges_issued = 0;       ///< tail: hedge reads sent to a 2nd replica
   std::int64_t hedges_won = 0;          ///< tail: hedges that finished first
   std::int64_t hedges_abandoned = 0;    ///< tail: race losers cancelled/drained
@@ -66,15 +60,13 @@ struct WorkMeter {
                     m.read_retries, m.slices_skipped, m.checksum_failures,
                     m.replica_failovers, m.nodes_evicted, m.copy_restarts,
                     m.chunks_quarantined, m.watchdog_kills, m.chunks_resumed,
-                    m.cache_hits, m.cache_misses, m.cache_bytes_served,
-                    m.cache_evictions, m.prefetch_issued, m.prefetch_useful,
                     m.hedges_issued, m.hedges_won, m.hedges_abandoned,
                     m.reads_abandoned, m.tail_breaches, m.slow_evictions,
                     m.buffers_in, m.buffers_out, m.bytes_in, m.bytes_out);
   }
 
   /// Export names of the counters, parallel to tied() (same order).
-  static constexpr std::array<std::string_view, 37> kFieldNames = {
+  static constexpr std::array<std::string_view, 31> kFieldNames = {
       "glcm_pair_updates", "feature_cells_scanned", "feature_cell_ops",
       "matrices_built",    "sparse_entries_emitted", "sparse_compress_cells",
       "bytes_memcpy",      "stitch_elements",       "elements_quantized",
@@ -82,8 +74,6 @@ struct WorkMeter {
       "read_retries",      "slices_skipped",        "checksum_failures",
       "replica_failovers", "nodes_evicted",         "copy_restarts",
       "chunks_quarantined", "watchdog_kills",       "chunks_resumed",
-      "cache_hits",        "cache_misses",          "cache_bytes_served",
-      "cache_evictions",   "prefetch_issued",       "prefetch_useful",
       "hedges_issued",     "hedges_won",            "hedges_abandoned",
       "reads_abandoned",   "tail_breaches",         "slow_evictions",
       "buffers_in",        "buffers_out",           "bytes_in",

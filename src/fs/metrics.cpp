@@ -268,18 +268,6 @@ void write_metrics_object(std::ostream& os, const RunStats& stats,
     os << "}";
   }
   os << "]}";
-  if (stats.cache.present) {
-    const CacheReport& c = stats.cache;
-    os << ",\n \"cache\": {\"budget_bytes\": " << c.budget_bytes << ", \"tile_w\": " << c.tile_w
-       << ", \"tile_h\": " << c.tile_h << ", \"prefetch_depth\": " << c.prefetch_depth
-       << ", \"lookups\": " << c.lookups << ", \"hits\": " << c.hits
-       << ", \"misses\": " << c.misses << ", \"bytes_read_disk\": " << c.bytes_read_disk
-       << ", \"bytes_served_cache\": " << c.bytes_served_cache
-       << ", \"prefetch_issued\": " << c.prefetch_issued
-       << ", \"prefetch_useful\": " << c.prefetch_useful
-       << ", \"evictions\": " << c.evictions
-       << ", \"resident_bytes\": " << c.resident_bytes << "}";
-  }
   if (stats.tail.present) {
     const TailReport& t = stats.tail;
     os << ",\n \"io_tail\": {\"deadline_mode\": ";

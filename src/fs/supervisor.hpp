@@ -41,15 +41,6 @@
 
 namespace h4d::fs {
 
-/// Thrown by an executor whose run was cancelled from outside (a cancel
-/// token, or the simulator's virtual-time deadline). Distinct from a filter
-/// error: every stream was closed, all copies unwound cooperatively, and any
-/// checkpoint manifest holds exactly the chunks completed before the cut —
-/// the run is resumable, not damaged.
-struct CancelledError : std::runtime_error {
-  using std::runtime_error::runtime_error;
-};
-
 /// What the supervisor does with a filter-copy exception.
 enum class SupervisePolicy {
   FailFast,     ///< record, close all streams, rethrow after join

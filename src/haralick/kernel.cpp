@@ -231,7 +231,7 @@ void KernelScratch::finalize_add(Glcm& g) {
     mark(b);
   }
   spill_cells_.clear();
-  // Then both banks, row-sequential — prefetch-friendly at any Ng, no
+  // Then both banks, row-sequential — cache-friendly at any Ng, no
   // min/max at all: a raw (a, b) count adds to both mirror cells of the
   // symmetric dense table, which lands diagonal pairs twice in the same cell
   // exactly like the reference's double store. Zero as we read so a reset

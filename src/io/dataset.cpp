@@ -4,6 +4,7 @@
 #include <cctype>
 #include <cstring>
 #include <fstream>
+#include <map>
 #include <memory>
 #include <optional>
 #include <set>
@@ -61,14 +62,21 @@ void check_dims_against_slices(const std::filesystem::path& root, const DatasetM
     }
   }
   if (mismatch) {
-    throw std::runtime_error("dataset.meta under " + root.string() + ": dims " +
-                             m.dims.str() + " give " + std::to_string(m.slice_bytes()) +
-                             "-byte slices, but " + mismatch->first.string() + " holds " +
-                             std::to_string(mismatch->second) + " bytes");
+    throw DatasetError(root / kMetaFile, 0,
+                       "dims " + m.dims.str() + " give " + std::to_string(m.slice_bytes()) +
+                           "-byte slices, but " + mismatch->first.string() + " holds " +
+                           std::to_string(mismatch->second) + " bytes");
   }
 }
 
 }  // namespace
+
+DatasetError::DatasetError(const std::filesystem::path& meta_file, int line_,
+                           const std::string& why)
+    : std::runtime_error(meta_file.string() +
+                         (line_ > 0 ? ":" + std::to_string(line_) : std::string()) + ": " +
+                         why),
+      line(line_) {}
 
 SliceReadError::SliceReadError(const std::string& file, std::int64_t t_, std::int64_t z_,
                                std::int64_t expected_bytes_, std::int64_t actual_bytes_,
@@ -108,45 +116,67 @@ void DatasetMeta::save(const std::filesystem::path& root) const {
 }
 
 DatasetMeta DatasetMeta::load(const std::filesystem::path& root) {
-  std::ifstream f(root / kMetaFile);
-  if (!f) throw std::runtime_error("cannot read " + (root / kMetaFile).string());
+  const std::filesystem::path path = root / kMetaFile;
+  std::ifstream f(path);
+  if (!f) throw std::runtime_error("cannot read " + path.string());
   DatasetMeta m;
-  std::string key;
-  while (f >> key) {
+  std::map<std::string, int> seen;  // known key -> line it appeared on
+  std::string line;
+  for (int lineno = 1; std::getline(f, line); ++lineno) {
+    std::istringstream is(line);
+    std::string key;
+    if (!(is >> key)) continue;  // blank line
+    const auto fail = [&](const std::string& why) {
+      throw DatasetError(path, lineno, why + ": " + line);
+    };
+    // Reads the key's values, then insists nothing but whitespace follows.
+    const auto values = [&](auto&... out) {
+      if (!((is >> out) && ...) || !(is >> std::ws).eof()) {
+        fail("malformed value for '" + key + "'");
+      }
+    };
+    if (key != "version" && key != "dims" && key != "dtype" && key != "range" &&
+        key != "storage_nodes" && key != "replicas") {
+      continue;  // unknown keys are tolerated (forward compatibility)
+    }
+    if (const auto [it, fresh] = seen.emplace(key, lineno); !fresh) {
+      fail("duplicate key '" + key + "' (first on line " + std::to_string(it->second) + ")");
+    }
     if (key == "version") {
       int version = 0;
-      f >> version;
+      values(version);
       if (version > kMetaVersion) {
-        throw std::runtime_error("dataset.meta under " + root.string() + " is version " +
-                                 std::to_string(version) + ", newer than supported " +
-                                 std::to_string(kMetaVersion));
+        fail("version " + std::to_string(version) + " is newer than supported " +
+             std::to_string(kMetaVersion));
       }
     } else if (key == "dims") {
-      f >> m.dims[0] >> m.dims[1] >> m.dims[2] >> m.dims[3];
+      values(m.dims[0], m.dims[1], m.dims[2], m.dims[3]);
     } else if (key == "dtype") {
       std::string name;
-      f >> name;
-      m.dtype = dtype_from_name(name);
+      values(name);
+      try {
+        m.dtype = dtype_from_name(name);
+      } catch (const std::runtime_error& e) {
+        fail(e.what());
+      }
     } else if (key == "range") {
-      f >> m.value_min >> m.value_max;
+      values(m.value_min, m.value_max);
     } else if (key == "storage_nodes") {
-      f >> m.storage_nodes;
-    } else if (key == "replicas") {
-      f >> m.replicas;
+      values(m.storage_nodes);
     } else {
-      std::string rest;
-      std::getline(f, rest);  // tolerate unknown keys
+      values(m.replicas);
     }
   }
   if (!m.dims.all_positive() || m.storage_nodes < 1 || m.replicas < 1) {
-    throw std::runtime_error("corrupt dataset.meta under " + root.string());
+    throw DatasetError(path, 0, "dims " + m.dims.str() + ", storage_nodes " +
+                                    std::to_string(m.storage_nodes) + " and replicas " +
+                                    std::to_string(m.replicas) + " must all be positive");
   }
   // Validate the dims before any reader sizes a buffer from them.
   auto bytes = static_cast<std::int64_t>(dtype_size(m.dtype));
   for (int d = 0; d < kDims; ++d) {
     if (__builtin_mul_overflow(bytes, m.dims[d], &bytes)) {
-      throw std::runtime_error("dataset.meta under " + root.string() + ": dims " +
-                               m.dims.str() + " overflow a 64-bit byte count");
+      throw DatasetError(path, 0, "dims " + m.dims.str() + " overflow a 64-bit byte count");
     }
   }
   check_dims_against_slices(root, m);

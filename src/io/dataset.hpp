@@ -38,7 +38,24 @@ std::size_t dtype_size(Dtype d);
 std::string dtype_name(Dtype d);
 Dtype dtype_from_name(const std::string& name);
 
-/// Dataset-level metadata persisted in <root>/dataset.meta.
+/// A dataset.meta that does not parse or does not describe a readable
+/// dataset: a malformed or repeated key, impossible dims, or a version newer
+/// than this build reads. The message names the file and, when one line is
+/// at fault, its 1-based number (`line`; 0 for the file as a whole).
+class DatasetError : public std::runtime_error {
+ public:
+  DatasetError(const std::filesystem::path& meta_file, int line, const std::string& why);
+
+  int line = 0;
+};
+
+/// Dataset-level metadata persisted in <root>/dataset.meta, one `key values`
+/// line per field.
+///
+/// Grammar: each known key (version, dims, dtype, range, storage_nodes,
+/// replicas) must appear at most once and its values must fill the whole
+/// line; blank lines and unknown keys are skipped. Violations throw
+/// DatasetError naming the line.
 ///
 /// Format versioning: v1 files (no `version` key) predate replication and
 /// load with replicas == 1; v2 adds the `version` and `replicas` keys.

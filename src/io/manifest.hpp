@@ -27,11 +27,10 @@ namespace h4d::io {
 /// record() is thread-safe and durable (write + fsync) before it returns.
 ///
 /// The first line may be a CRC-tagged ownership header
-/// ("owner <token> <crc32-hex>\n") naming the job/configuration that wrote
-/// the file. Concurrent jobs namespace their manifests by job id (src/svc),
-/// and --resume refuses a manifest whose owner token names a different
-/// job/configuration — progress recorded for one chunk grid must never prune
-/// another job's work list. load() skips the header (and legacy manifests
+/// ("owner <token> <crc32-hex>\n") naming the dataset/configuration that
+/// wrote the file, and --resume refuses a manifest whose owner token names a
+/// different one — progress recorded for one chunk grid must never prune
+/// another run's work list. load() skips the header (and legacy manifests
 /// have none), so old files stay readable.
 class ChunkManifest {
  public:

@@ -7,7 +7,6 @@
 #include <thread>
 
 #include "io/replica_set.hpp"
-#include "io/tile_cache.hpp"
 
 namespace h4d::io {
 
@@ -101,13 +100,6 @@ ResilientReader::ResilientReader(StorageNodeReader reader, ResilienceConfig conf
   reader_.set_fault_injector(injector);
 }
 
-void ResilientReader::attach_cache(TileCache* cache, std::uint64_t dataset_key,
-                                   int tenant) {
-  cache_ = cache;
-  cache_dataset_ = dataset_key;
-  cache_tenant_ = tenant;
-}
-
 void ResilientReader::attach_tail(const TailConfig& config, LatencyTracker* tracker,
                                   SliceFetchPool* pool) {
   tail_cfg_ = config;
@@ -170,17 +162,14 @@ void ResilientReader::attempt_read(const StorageNodeReader& reader, const SliceR
                                    std::int64_t x0, std::int64_t y0, std::int64_t w,
                                    std::int64_t h, std::uint16_t* out) {
   const bool verified = cfg_.verify_checksums && slice.has_crc;
-  // Whole-slice fetches serve the verified path (the checksum unit) and any
-  // cache-eligible read (the cache's fill unit). An unverified read under a
-  // fault injector must stay a rectangle read: injected corruption depends
-  // on the read length, so switching it to a whole-slice fetch would change
-  // the delivered bytes vs. a cache-off run.
-  if (!verified && !cache_eligible(slice)) {
+  // Whole-slice fetches serve the verified path (the checksum unit); an
+  // unverified read stays a rectangle read.
+  if (!verified) {
     reader.read_slice_region(slice, x0, y0, w, h, out);
     delivered_bytes_ += w * h * static_cast<std::int64_t>(dtype_size(reader.meta().dtype));
     return;
   }
-  if (cached_slice_ != slice_key(slice)) {
+  if (held_slice_ != slice_key(slice)) {
     const std::size_t nbytes = static_cast<std::size_t>(reader.meta().slice_bytes());
     std::vector<std::uint8_t> bytes(nbytes);
     reader.read_slice_bytes(slice, bytes.data());
@@ -192,16 +181,10 @@ void ResilientReader::attempt_read(const StorageNodeReader& reader, const SliceR
       }
     }
     delivered_bytes_ += static_cast<std::int64_t>(nbytes);
-    cached_bytes_ = std::move(bytes);
-    cached_slice_ = slice_key(slice);
-    // Only verified-or-injector-free bytes reach this point, so the insert
-    // upholds the corrupt-tiles-never-cached contract.
-    if (cache_eligible(slice)) {
-      cache_->insert_slice(cache_dataset_, reader_.meta(), slice.t, slice.z,
-                           cached_bytes_.data(), /*prefetched=*/false, cache_tenant_);
-    }
+    slice_bytes_ = std::move(bytes);
+    held_slice_ = slice_key(slice);
   }
-  extract_rect(cached_bytes_.data(), x0, y0, w, h, out);
+  extract_rect(slice_bytes_.data(), x0, y0, w, h, out);
 }
 
 void ResilientReader::fill(std::int64_t w, std::int64_t h, std::uint16_t* out) const {
@@ -348,14 +331,8 @@ bool ResilientReader::hedged_fetch(const SliceRef& slice, const std::vector<int>
   if (hedge_slot) tail_tracker_->end_hedge();
 
   delivered_bytes_ += static_cast<std::int64_t>(r.bytes.size());
-  cached_bytes_ = std::move(r.bytes);
-  cached_slice_ = slice_key(slice);
-  if (cache_eligible(slice)) {
-    // insert_slice keeps already-resident tiles, so a duplicate fill from a
-    // hedge race dedups instead of flapping the cache.
-    cache_->insert_slice(cache_dataset_, reader_.meta(), slice.t, slice.z,
-                         cached_bytes_.data(), /*prefetched=*/false, cache_tenant_);
-  }
+  slice_bytes_ = std::move(r.bytes);
+  held_slice_ = slice_key(slice);
   if (replicas_) replicas_->note_success(winner->node);
   return true;
 }
@@ -369,20 +346,6 @@ bool ResilientReader::read_slice_region(const SliceRef& slice, std::int64_t x0,
       failed_slices_.end()) {
     fill(w, h, out);
     return false;
-  }
-
-  // Cache-aside: serve the rectangle from the shared tile cache when every
-  // covering tile is resident (possibly filled by another copy, another job,
-  // or the prefetcher). A partial hit falls through to the disk path, whose
-  // whole-slice fill re-populates the missing tiles.
-  if (cache_eligible(slice)) {
-    TileRectStats cs;
-    const bool full_hit = cache_->read_rect(cache_dataset_, reader_.meta(), slice.t,
-                                            slice.z, x0, y0, w, h, out, cache_tenant_, cs);
-    cache_hits_ += cs.hits;
-    cache_misses_ += cs.misses;
-    cache_bytes_served_ += cs.bytes_served;
-    if (full_hit) return true;
   }
 
   // Candidate nodes in failover order: the wrapped node alone without a
@@ -399,9 +362,9 @@ bool ResilientReader::read_slice_region(const SliceRef& slice, std::int64_t x0,
   // and hedging. Purely advisory — on any failure (fetch error, deadline
   // expiry, lost race with nothing to show) the synchronous loop below still
   // owns correctness, retries and failure accounting.
-  if (tail_eligible(slice) && !order.empty() && cached_slice_ != slice_key(slice)) {
+  if (tail_eligible(slice) && !order.empty() && held_slice_ != slice_key(slice)) {
     if (hedged_fetch(slice, order, last_error)) {
-      extract_rect(cached_bytes_.data(), x0, y0, w, h, out);
+      extract_rect(slice_bytes_.data(), x0, y0, w, h, out);
       return true;
     }
   }
@@ -462,40 +425,6 @@ bool ResilientReader::read_slice_region(const SliceRef& slice, std::int64_t x0,
   ++report_.slices_skipped;
   report_.skipped.push_back({slice.t, slice.z, last_error});
   fill(w, h, out);
-  return false;
-}
-
-bool ResilientReader::prefetch_slice(const SliceRef& slice) {
-  // Prefetch never runs under a fault injector: a deterministic drill must
-  // see the exact per-attempt fault schedule a cache-off run would, and
-  // prefetch reads would consume attempt numbers ahead of the demand path.
-  if (cache_ == nullptr || injector_ != nullptr) return false;
-  if (cache_->slice_fully_cached(cache_dataset_, reader_.meta(), slice.t, slice.z)) {
-    return false;
-  }
-  const std::vector<int> order =
-      replicas_ ? replicas_->replica_order(slice.z, slice.t, reader_.node_id())
-                : std::vector<int>{reader_.node_id()};
-  for (const int node : order) {
-    std::string error;
-    const StorageNodeReader* node_reader = reader_for(node, error);
-    if (node_reader == nullptr) continue;
-    try {
-      const std::size_t nbytes = static_cast<std::size_t>(reader_.meta().slice_bytes());
-      std::vector<std::uint8_t> bytes(nbytes);
-      node_reader->read_slice_bytes(slice, bytes.data());
-      if (cfg_.verify_checksums && slice.has_crc &&
-          crc32(bytes.data(), bytes.size()) != slice.crc) {
-        continue;  // corrupt on this replica; never cached
-      }
-      delivered_bytes_ += static_cast<std::int64_t>(nbytes);
-      cache_->insert_slice(cache_dataset_, reader_.meta(), slice.t, slice.z, bytes.data(),
-                           /*prefetched=*/true, cache_tenant_);
-      return true;
-    } catch (const std::exception&) {
-      // Swallowed: the demand path retries with full resilience accounting.
-    }
-  }
   return false;
 }
 

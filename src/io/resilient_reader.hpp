@@ -16,7 +16,7 @@
 //     FaultReport so the run completes with a precise damage inventory.
 //
 // The verified read path fetches whole slice files (the checksum unit) and
-// caches the most recent one, so the RFR filter's tile loop re-reads nothing.
+// holds the most recent one, so the RFR filter's tile loop re-reads nothing.
 #pragma once
 
 #include <cstdint>
@@ -32,7 +32,6 @@
 namespace h4d::io {
 
 class ReplicaSet;  // io/replica_set.hpp
-class TileCache;   // io/tile_cache.hpp
 
 /// A slice whose recorded CRC-32 did not match the bytes read back.
 class ChecksumError : public std::runtime_error {
@@ -164,21 +163,6 @@ class ResilientReader {
   bool read_slice_region(const SliceRef& slice, std::int64_t x0, std::int64_t y0,
                          std::int64_t w, std::int64_t h, std::uint16_t* out);
 
-  /// Attach a shared tile cache (non-owning): cache-aside on the read path.
-  /// Rectangles whose tiles are all resident are served without touching
-  /// disk; whole-slice fills are inserted only after checksum verification
-  /// succeeds (or when no fault injector is attached), so a corrupt slice
-  /// is never cached and cached bytes are identical to a cache-off read.
-  void attach_cache(TileCache* cache, std::uint64_t dataset_key, int tenant);
-
-  /// Pull one whole slice into the attached cache ahead of demand. Never
-  /// touches replica health, the fault report, or the skip list; errors are
-  /// swallowed (the demand path will handle them with full resilience).
-  /// Only active without a fault injector (deterministic fault drills must
-  /// see the exact cache-off read schedule). Returns true when a disk read
-  /// was issued and inserted.
-  bool prefetch_slice(const SliceRef& slice);
-
   /// Attach the tail-tolerance layer (all non-owning; see io/tail.hpp):
   /// verified whole-slice reads go through `pool` with an adaptive per-read
   /// deadline and (when configured) a hedge to the next replica; completed
@@ -198,17 +182,10 @@ class ResilientReader {
   /// successful rectangle read counts its rectangle, a successful verified
   /// whole-slice fetch counts the slice once, and bytes moved by retried or
   /// failed-over attempts that ultimately failed count nothing (the raw
-  /// attempt traffic is attempted_bytes_read()). Cache hits touch no disk
-  /// and count nothing here (they land in cache_bytes_served()).
+  /// attempt traffic is attempted_bytes_read().
   std::int64_t seeks_performed() const;
   std::int64_t bytes_read() const { return delivered_bytes_; }
   std::int64_t attempted_bytes_read() const;
-
-  /// Tile-cache accounting local to this reader (monotonic, tile-granular;
-  /// metered as deltas like report()).
-  std::int64_t cache_hits() const { return cache_hits_; }
-  std::int64_t cache_misses() const { return cache_misses_; }
-  std::int64_t cache_bytes_served() const { return cache_bytes_served_; }
 
   /// Tail-tolerance accounting local to this reader (monotonic; metered as
   /// deltas like report()). The shared LatencyTracker carries the exact
@@ -226,14 +203,6 @@ class ResilientReader {
                     std::int64_t x0, std::int64_t y0, std::int64_t w, std::int64_t h,
                     std::uint16_t* out);
   void fill(std::int64_t w, std::int64_t h, std::uint16_t* out) const;
-  /// Cache participation rule for one slice: whole-slice fills must be
-  /// attempt-independent bytes, which holds when they are CRC-verified or
-  /// when no fault injector can perturb them. (Injected corruption depends
-  /// on the read length, so unverified injected reads bypass the cache.)
-  bool cache_eligible(const SliceRef& slice) const {
-    return cache_ != nullptr &&
-           ((cfg_.verify_checksums && slice.has_crc) || injector_ == nullptr);
-  }
   void extract_rect(const std::uint8_t* slice_bytes, std::int64_t x0, std::int64_t y0,
                     std::int64_t w, std::int64_t h, std::uint16_t* out) const;
   /// Reader for one replica node (the wrapped one, or a lazily-built
@@ -242,17 +211,17 @@ class ResilientReader {
   const StorageNodeReader* reader_for(int node, std::string& error);
 
   /// Tail path applies to the whole-slice fetch unit only: verified slices
-  /// always; unverified only when no injector can perturb the bytes (the
-  /// same attempt-independence rule as cache_eligible).
+  /// always; unverified only when no injector can perturb the bytes
+  /// (injected corruption depends on the read length, so an unverified
+  /// injected read must keep its rectangle shape).
   bool tail_eligible(const SliceRef& slice) const {
     return tail_pool_ != nullptr && tail_tracker_ != nullptr && tail_cfg_.enabled() &&
            ((cfg_.verify_checksums && slice.has_crc) || injector_ == nullptr);
   }
   /// Hedged / deadline-bounded whole-slice fetch through the helper pool.
-  /// On success fills cached_bytes_/cached_slice_ (and the tile cache) and
-  /// returns true; on failure or deadline exhaustion returns false and the
-  /// caller falls back to the synchronous path. `last_error` carries the
-  /// most recent failure reason.
+  /// On success fills slice_bytes_/held_slice_ and returns true; on failure
+  /// or deadline exhaustion returns false and the caller falls back to the
+  /// synchronous path. `last_error` carries the most recent failure reason.
   bool hedged_fetch(const SliceRef& slice, const std::vector<int>& order,
                     std::string& last_error);
   /// Latency/breach bookkeeping for a completed or breached primary read.
@@ -266,12 +235,6 @@ class ResilientReader {
   std::map<int, StorageNodeReader> fallbacks_;  ///< other replica nodes, lazy
   FaultReport report_;
 
-  TileCache* cache_ = nullptr;  ///< shared tile cache (non-owning, optional)
-  std::uint64_t cache_dataset_ = 0;
-  int cache_tenant_ = 0;
-  std::int64_t cache_hits_ = 0;
-  std::int64_t cache_misses_ = 0;
-  std::int64_t cache_bytes_served_ = 0;
   std::int64_t delivered_bytes_ = 0;  ///< bytes that reached the caller
 
   // Tail-tolerance layer (attach_tail; all non-owning, shared run-wide).
@@ -287,10 +250,11 @@ class ResilientReader {
   std::int64_t pool_seeks_ = 0;           ///< seeks by observed pooled fetches
   std::int64_t pool_attempted_bytes_ = 0; ///< raw bytes observed pooled fetches moved
 
-  // Whole-slice cache for the verified path (one slice: the RFR tile loop
-  // visits tiles of a slice consecutively).
-  std::vector<std::uint8_t> cached_bytes_;
-  std::int64_t cached_slice_ = -1;
+  // The last whole slice fetched (verified path and tail path), held so the
+  // RFR tile loop, which visits the tiles of a slice consecutively, reads
+  // each slice once.
+  std::vector<std::uint8_t> slice_bytes_;
+  std::int64_t held_slice_ = -1;
   std::vector<std::int64_t> failed_slices_;  ///< already given up on (dedup)
 };
 

@@ -3,15 +3,14 @@
 // PR 5's failover handles nodes that *die* and PR 1's checksums handle bytes
 // that *rot*, but a storage node that merely turns *slow* (a gray failure:
 // overloaded disk, degraded RAID, throttled VM) still stalls every read
-// routed to it — ResilientReader blocks until the read returns, the
-// prefetcher queues behind it, and a whole-pipeline job burns its wall
-// deadline doing nothing. This module closes that gap with the classic
+// routed to it — ResilientReader blocks until the read returns, and every
+// downstream filter waits on that one slice. This module closes that gap with the classic
 // tail-at-scale toolkit:
 //
 //   * LatencyTracker — per-node read-latency statistics (EWMA + fixed-bucket
 //     percentile histogram), fed from every completed ResilientReader
-//     attempt. One tracker is shared by every reader of a run (and across
-//     jobs under `h4d serve`), so a node's reputation is global.
+//     attempt. One tracker is shared by every reader of a run, so a node's
+//     reputation is run-wide.
 //   * Adaptive per-read deadlines — deadline = clamp(k x node p99, floor,
 //     ceiling). Until a node has `min_samples` observations the ceiling
 //     applies (a cold tracker must not abandon healthy reads).
@@ -23,9 +22,8 @@
 //     threshold (the hedge_pct percentile of its own history), the same
 //     slice read is issued to the next node in replica_order and the first
 //     CRC-verified result wins; the loser is cancelled if not yet started,
-//     drained otherwise. Duplicate fills are deduplicated by TileCache
-//     keying (insert_slice keeps already-resident tiles), so hedging never
-//     changes delivered bytes.
+//     drained otherwise. Every replica holds the same verified bytes, so
+//     hedging never changes delivered bytes.
 //   * Slow-node eviction — `slow_after` consecutive breaches (a deadline
 //     expiry or a lost hedge) evict the node through the existing
 //     ReplicaSet health machinery with reason `slow`, using the same
@@ -98,8 +96,7 @@ struct NodeLatencyStats {
 };
 
 /// Per-storage-node read-latency tracking plus the run-global tail counters.
-/// Thread-safe; one instance is shared by every reader of a run (and by all
-/// jobs of a JobManager, like the TileCache).
+/// Thread-safe; one instance is shared by every reader of a run.
 class LatencyTracker {
  public:
   explicit LatencyTracker(int nodes);

@@ -95,25 +95,6 @@ std::vector<Chunk> partition_overlapping(const Vec4& dims, const Vec4& chunk_dim
   return chunks;
 }
 
-std::vector<SliceCoord> raster_slice_order(const std::vector<Chunk>& chunks) {
-  std::vector<SliceCoord> order;
-  std::vector<std::pair<std::int64_t, std::int64_t>> seen;  // sorted (t, z)
-  for (const Chunk& c : chunks) {
-    for (std::int64_t t = c.region.origin[3]; t < c.region.origin[3] + c.region.size[3];
-         ++t) {
-      for (std::int64_t z = c.region.origin[2]; z < c.region.origin[2] + c.region.size[2];
-           ++z) {
-        const std::pair<std::int64_t, std::int64_t> key{t, z};
-        const auto it = std::lower_bound(seen.begin(), seen.end(), key);
-        if (it != seen.end() && *it == key) continue;
-        seen.insert(it, key);
-        order.push_back({z, t});
-      }
-    }
-  }
-  return order;
-}
-
 std::vector<Region4> partition_plain(const Vec4& dims, const Vec4& block_dims) {
   if (!dims.all_positive() || !block_dims.all_positive()) {
     throw std::invalid_argument("partition_plain: all extents must be positive");

@@ -87,17 +87,4 @@ Region4 roi_origin_region(const Vec4& dims, const Vec4& roi_dims);
 /// used for I/O-granularity chunks (RFR->IIC).
 std::vector<Region4> partition_plain(const Vec4& dims, const Vec4& block_dims);
 
-/// One 2D slice of the 4D volume (the on-disk I/O unit: one raw file).
-struct SliceCoord {
-  std::int64_t z = 0;
-  std::int64_t t = 0;
-};
-
-/// The distinct slices the chunk sequence touches, in first-need order over
-/// the raster-scan chunk ids (t-major, z-minor within each chunk). This is
-/// the prefetch schedule of the tile cache: issuing reads in this order pulls
-/// the next chunk's ghost-overlap slices in while the current chunk computes
-/// (overlapping slices appear once, at their first use).
-std::vector<SliceCoord> raster_slice_order(const std::vector<Chunk>& chunks);
-
 }  // namespace h4d

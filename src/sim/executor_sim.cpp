@@ -165,17 +165,7 @@ class Simulator {
         }
       }
     }
-    while (!events_.empty()) {
-      if (opt_.cancel != nullptr && opt_.cancel->load(std::memory_order_acquire)) {
-        throw fs::CancelledError("simulated run cancelled at virtual t=" +
-                                 std::to_string(events_.now()) + " s");
-      }
-      if (opt_.virtual_deadline_s > 0.0 && events_.now() > opt_.virtual_deadline_s) {
-        throw fs::CancelledError("simulated run exceeded its virtual deadline (" +
-                                 std::to_string(opt_.virtual_deadline_s) + " s)");
-      }
-      events_.run_next();
-    }
+    while (!events_.empty()) events_.run_next();
 
     SimStats out;
     out.total_seconds = finish_time_;

@@ -20,8 +20,6 @@
 //   * per-message CPU overheads are charged to sender and receiver.
 #pragma once
 
-#include <atomic>
-
 #include "fs/graph.hpp"
 #include "sim/cost_model.hpp"
 #include "sim/machine.hpp"
@@ -66,14 +64,6 @@ struct SimOptions {
   fs::TraceRecorder* trace = nullptr;
   /// Copy failure/restart modeling (disabled by default).
   FailureModel failures;
-  /// Cooperative cancellation (job deadlines/timeouts, src/svc): checked
-  /// between events; when *cancel becomes true, run_simulated throws
-  /// fs::CancelledError. Must outlive the run.
-  const std::atomic<bool>* cancel = nullptr;
-  /// Virtual-time budget: a run whose simulated clock passes this many
-  /// seconds throws fs::CancelledError (0 = unlimited). The per-job analogue
-  /// of a wall deadline for modeled-cluster jobs.
-  double virtual_deadline_s = 0.0;
 };
 
 /// Extended statistics from a simulated run.

@@ -50,8 +50,11 @@ TEST_F(CliTest, NoArgsPrintsUsage) {
 }
 
 TEST_F(CliTest, UnknownCommandFails) {
-  EXPECT_EQ(invoke({"frobnicate"}), 2);
-  EXPECT_NE(stderr_text().find("unknown command"), std::string::npos);
+  // serve and jobs were removed verbs: they fail like any other unknown one.
+  for (const std::string cmd : {"frobnicate", "serve", "jobs"}) {
+    EXPECT_EQ(invoke({cmd}), 2) << cmd;
+    EXPECT_NE(stderr_text().find("unknown command: " + cmd), std::string::npos) << cmd;
+  }
 }
 
 TEST_F(CliTest, PhantomThenInfo) {
@@ -112,7 +115,8 @@ TEST_F(CliTest, UnknownOptionsFailNamingTheOption) {
   ASSERT_EQ(invoke({"phantom", "--out", ds, "--dims", "16,16,6,4", "--nodes", "2"}), 0);
   // Removed flags and typos fail before any work instead of running with
   // defaults; the error names the offending option.
-  for (const std::string opt : {"queue", "cache-policy", "dir"}) {
+  for (const std::string opt :
+       {"queue", "cache-policy", "dir", "tile-cache-mb", "tile-shape", "prefetch-depth"}) {
     EXPECT_EQ(invoke({"analyze", ds, "--" + opt, "x"}), 1) << opt;
     EXPECT_NE(stderr_text().find("analyze: unknown option --" + opt), std::string::npos)
         << stderr_text();
@@ -183,7 +187,6 @@ TEST_F(CliTest, BadOptionValueReportsError) {
       {"analyze", "plan", "bogus", "fixed|auto"},
       {"analyze", "features", "some", "paper|all"},
       {"simulate", "variant", "hmp ", "split|hmp"},
-      {"serve", "mode", "bogus", "threaded|sim"},
       {"repair", "add-checksums", "yes", "off|on"},
   };
   for (const auto& c : cases) {
@@ -195,6 +198,34 @@ TEST_F(CliTest, BadOptionValueReportsError) {
         << stderr_text();
     EXPECT_EQ(stdout_text(), "") << flag;
   }
+}
+
+// The hex digest of a run's `maps crc32` summary line.
+std::string maps_digest(const std::string& text) {
+  const std::string key = "maps crc32 ";
+  const std::size_t at = text.find(key);
+  if (at == std::string::npos) return "(no digest line)";
+  return text.substr(at + key.size(), text.find('\n', at) - at - key.size());
+}
+
+TEST_F(CliTest, MapsDigestAgreesAcrossVariantsReprsAndExecutors) {
+  const std::string ds = (dir_ / "ds").string();
+  ASSERT_EQ(invoke({"phantom", "--out", ds, "--dims", "14,12,5,4", "--nodes", "2"}), 0);
+  ASSERT_EQ(invoke({"analyze", ds}), 0) << stderr_text();
+  const std::string digest = maps_digest(stdout_text());
+  ASSERT_EQ(digest.size(), 8u) << stdout_text();
+  EXPECT_EQ(digest.find_first_not_of("0123456789abcdef"), std::string::npos) << digest;
+  EXPECT_EQ(invoke({"analyze", ds, "--variant", "hmp"}), 0) << stderr_text();
+  EXPECT_EQ(maps_digest(stdout_text()), digest) << "--variant hmp";
+  EXPECT_EQ(invoke({"analyze", ds, "--repr", "sparse"}), 0) << stderr_text();
+  EXPECT_EQ(maps_digest(stdout_text()), digest) << "--repr sparse";
+  EXPECT_EQ(invoke({"simulate", ds}), 0) << stderr_text();
+  EXPECT_EQ(maps_digest(stdout_text()), digest) << "simulate";
+  // A change in the maps changes the digest.
+  EXPECT_EQ(invoke({"analyze", ds, "--levels", "16"}), 0) << stderr_text();
+  const std::string coarser = maps_digest(stdout_text());
+  EXPECT_EQ(coarser.size(), 8u) << stdout_text();
+  EXPECT_NE(coarser, digest);
 }
 
 TEST_F(CliTest, InfoOnMissingDatasetFails) {

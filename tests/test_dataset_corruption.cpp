@@ -290,6 +290,81 @@ TEST_F(CorruptionTest, MetaDimsMustMatchTheSliceFiles) {
   EXPECT_NO_THROW(DiskDataset::open(root_));
 }
 
+// DatasetMeta::load must throw DatasetError naming dataset.meta, `lineno`
+// (0: no line number) and `why`.
+void expect_meta_error(const fsys::path& root, int lineno, const std::string& why) {
+  std::string where = (root / "dataset.meta").string();
+  if (lineno > 0) where += ":" + std::to_string(lineno);
+  try {
+    DatasetMeta::load(root);
+    FAIL() << "dataset.meta accepted; expected: " << why;
+  } catch (const DatasetError& e) {
+    const std::string msg = e.what();
+    EXPECT_EQ(e.line, lineno) << msg;
+    EXPECT_NE(msg.find(where + ": "), std::string::npos) << msg;
+    EXPECT_NE(msg.find(why), std::string::npos) << msg;
+  }
+}
+
+// dataset.meta as DiskDataset::create writes it: version, dims, dtype,
+// range, storage_nodes, replicas on lines 1-6.
+void set_meta_line(const fsys::path& root, std::size_t lineno, const std::string& text) {
+  rewrite_lines(root / "dataset.meta",
+                [&](std::vector<std::string>& lines) { lines.at(lineno - 1) = text; });
+}
+
+TEST_F(CorruptionTest, MetaValueThatDoesNotParseIsRejected) {
+  DiskDataset::create(root_, vol_, 3, 2);
+  // Stream parsing stopped at the bad value and left every later key
+  // (storage_nodes, replicas) at its default.
+  set_meta_line(root_, 4, "range 424 abc");
+  expect_meta_error(root_, 4, "malformed value for 'range'");
+}
+
+TEST_F(CorruptionTest, MetaKeyMustConsumeItsWholeLine) {
+  DiskDataset::create(root_, vol_, 3, 2);
+  set_meta_line(root_, 4, "range 424 1913x");
+  expect_meta_error(root_, 4, "malformed value for 'range'");
+  set_meta_line(root_, 4, "range 424 1913");
+  set_meta_line(root_, 2, "dims 7 6 4 3 5");
+  expect_meta_error(root_, 2, "malformed value for 'dims'");
+}
+
+TEST_F(CorruptionTest, MetaKeyAppearingTwiceIsRejected) {
+  DiskDataset::create(root_, vol_, 3, 2);
+  rewrite_lines(root_ / "dataset.meta",
+                [](std::vector<std::string>& lines) { lines.push_back("replicas 1"); });
+  expect_meta_error(root_, 7, "duplicate key 'replicas' (first on line 6)");
+}
+
+TEST_F(CorruptionTest, MetaUnknownKeysAndBlankLinesAreSkipped) {
+  DiskDataset::create(root_, vol_, 3, 2);
+  rewrite_lines(root_ / "dataset.meta", [](std::vector<std::string>& lines) {
+    lines.insert(lines.begin() + 2, "");
+    lines.push_back("acquired_by scanner 7 (any text)");
+  });
+  const DatasetMeta m = DatasetMeta::load(root_);
+  EXPECT_EQ(m.dims, vol_.dims());
+  EXPECT_EQ(m.storage_nodes, 3);
+  EXPECT_EQ(m.replicas, 2);
+}
+
+TEST_F(CorruptionTest, MetaValidationErrorsAreDatasetErrors) {
+  DiskDataset::create(root_, vol_, 3, 2);
+  set_meta_line(root_, 1, "version 3");
+  expect_meta_error(root_, 1, "version 3 is newer than supported 2");
+  set_meta_line(root_, 1, "version 2");
+  set_meta_line(root_, 5, "storage_nodes 0");
+  expect_meta_error(root_, 0, "must all be positive");
+  set_meta_line(root_, 5, "storage_nodes 3");
+  set_meta_line(root_, 2, "dims 4611686018427387904 1 1 1");
+  expect_meta_error(root_, 0, "overflow");
+  set_meta_line(root_, 2, "dims 8 6 4 3");
+  expect_meta_error(root_, 0, "96-byte slices");
+  set_meta_line(root_, 3, "dtype u12");
+  expect_meta_error(root_, 3, "unknown dtype: u12");
+}
+
 struct CorruptionE2E : ::testing::Test {
   void SetUp() override {
     root_ = fsys::temp_directory_path() /

@@ -26,10 +26,6 @@ family and selects which invariants apply:
   bench_queue    (BENCH_queue.json)
       * the inbox queue's 4 producers / 4 consumers row is present with a
         positive items/sec (the row --fresh runs are bounded against).
-  bench_cache    (BENCH_cache.json)
-      * a warm re-analysis through the shared tile cache reads at most
-        0.5x the disk bytes of the cold run;
-      * the warm run's demand hit rate is >= 60%.
   bench_tail     (BENCH_tail.json)
       * with one gray (heavy-tailed slow) storage node, the hedged pass's
         p99 read latency is >= 2x better than the unhedged pass's;
@@ -85,14 +81,6 @@ DEFAULT_MIN_SPEEDUP = 2.0
 # bench_queue: the committed shape that must be present (the bench also
 # emits 1p1c/2p2c rows; those are informational).
 QUEUE_GATE_SHAPE = "4p4c"
-
-# bench_cache: warm-over-cold gates for the shared tile cache
-# (bench/micro_tile_cache). Disk traffic must at least halve and the demand
-# hit rate must clear 60% when the same analysis re-runs through the cache.
-CACHE_COLD_LABEL = "reanalysis_cold"
-CACHE_WARM_LABEL = "reanalysis_warm"
-CACHE_MAX_DISK_RATIO = 0.5
-CACHE_MIN_HIT_RATE = 0.6
 
 # bench_tail: gray-node hedged-read gates (bench/micro_tail). Hedging must
 # cut the p99 read latency at least in half and must actually have won at
@@ -252,38 +240,6 @@ def check_queue_invariants(runs: dict[str, dict[str, float]],
     print(f"  gate row: {label} {ops:.3e} items/s")
 
 
-def check_cache_invariants(runs: dict[str, dict[str, float]],
-                           path: str) -> None:
-    """BENCH_cache.json: warm disk bytes <= 0.5x cold; warm hit rate >= 60%."""
-    cold = runs.get(CACHE_COLD_LABEL)
-    warm = runs.get(CACHE_WARM_LABEL)
-    if cold is None or warm is None:
-        err(f"{path}: missing gate rows {CACHE_COLD_LABEL!r} / "
-            f"{CACHE_WARM_LABEL!r}")
-        return
-    cold_disk = cold.get("bytes_read_disk", 0.0)
-    warm_disk = warm.get("bytes_read_disk")
-    if cold_disk <= 0 or warm_disk is None:
-        err(f"{path}: cache gate rows missing bytes_read_disk")
-    else:
-        ratio = warm_disk / cold_disk
-        print(f"  gate: warm {warm_disk:.0f} vs cold {cold_disk:.0f} disk "
-              f"bytes -> {ratio:.2f}x (need <= {CACHE_MAX_DISK_RATIO}x)")
-        if ratio > CACHE_MAX_DISK_RATIO:
-            err(f"{path}: warm run reads {ratio:.2f}x the cold run's disk "
-                f"bytes (limit {CACHE_MAX_DISK_RATIO}x)")
-    hits = warm.get("cache_hits", 0.0)
-    lookups = hits + warm.get("cache_misses", 0.0)
-    if lookups <= 0:
-        err(f"{path}: {CACHE_WARM_LABEL} has no cache lookups")
-    else:
-        rate = hits / lookups
-        print(f"  gate: warm hit rate {hits:.0f}/{lookups:.0f} = {rate:.0%} "
-              f"(need >= {CACHE_MIN_HIT_RATE:.0%})")
-        if rate < CACHE_MIN_HIT_RATE:
-            err(f"{path}: warm hit rate {rate:.0%} < {CACHE_MIN_HIT_RATE:.0%}")
-
-
 def check_tail_invariants(runs: dict[str, dict[str, float]],
                           path: str) -> None:
     """BENCH_tail.json: hedged p99 >= 2x better; hedges actually won."""
@@ -378,8 +334,6 @@ def main(argv: list[str]) -> int:
         print(f"baseline {baseline_path} (figure {figure}, {len(baseline)} runs):")
         if figure == "bench_queue":
             check_queue_invariants(baseline, baseline_path)
-        elif figure == "bench_cache":
-            check_cache_invariants(baseline, baseline_path)
         elif figure == "bench_tail":
             check_tail_invariants(baseline, baseline_path)
         elif figure == "bench_kernel":

@@ -10,20 +10,14 @@ Event Format subset the runtime emits. Accepted metrics schemas:
                         or h4d-micro-v1>}]}
   h4d-micro-v1          flat {schema, <name>: <number>, ...} rows emitted by
                         the micro-benchmarks (bench/micro_common.hpp)
-  h4d-jobs-v1           multi-tenant service export (`h4d serve/jobs
-                        --jobs-metrics`): the "jobs" counter section,
-                        per-tenant rows, merged meter/exec, per-job rows
 
 Checks structure, types, and the internal invariants: per-filter meter
 aggregates equal the sum over that filter's copies; per-filter copy skew
 (busy_max_over_mean >= 1, the max/mean of the copy rows' busy time, and
-straggler_copy < copies); for jobs exports the
-accounting identity submitted = completed + rejected + shed + failed (with
-rejected = rejected_queue_full + rejected_quota + rejected_deadline) plus
-per-job rows consistent with the counters; and for runs that attached the
-tail-tolerance layer, the "io_tail" section's hedge accounting
-(hedges_won <= hedges_issued), per-node reads/breaches summing to the
-globals, and typed eviction reasons ("failure" / "slow").
+straggler_copy < copies); and, for runs that attached the tail-tolerance
+layer, the "io_tail" section's hedge accounting (hedges_won <=
+hedges_issued), per-node reads/breaches summing to the globals, and typed
+eviction reasons ("failure" / "slow").
 
 Usage: tools/check_metrics.py METRICS.json [...] [--trace TRACE.json ...]
 Exit status: 0 when every file validates, 1 otherwise.
@@ -79,12 +73,6 @@ REQUIRED_METER_KEYS = (
     "chunks_quarantined",
     "watchdog_kills",
     "chunks_resumed",
-    "cache_hits",
-    "cache_misses",
-    "cache_bytes_served",
-    "cache_evictions",
-    "prefetch_issued",
-    "prefetch_useful",
     "hedges_issued",
     "hedges_won",
     "hedges_abandoned",
@@ -117,44 +105,9 @@ def check_meter(meter: object, path: str, where: str) -> None:
         require(k in meter, path, f"{where}: meter missing required counter {k}")
 
 
-# The optional "cache" section (fs/graph.hpp CacheReport): emitted by both
-# h4d-metrics-v1 and h4d-jobs-v1 exports when a tile cache was configured.
-CACHE_INT_KEYS = (
-    "budget_bytes",
-    "tile_w",
-    "tile_h",
-    "prefetch_depth",
-    "lookups",
-    "hits",
-    "misses",
-    "bytes_read_disk",
-    "bytes_served_cache",
-    "prefetch_issued",
-    "prefetch_useful",
-    "evictions",
-    "resident_bytes",
-)
-
-def check_cache_object(cache: object, path: str, where: str) -> None:
-    """Tile-cache section: key presence, types, and counter conservation."""
-    if not require(isinstance(cache, dict), path, f"{where}: not an object"):
-        return
-    for k in CACHE_INT_KEYS:
-        require(isinstance(cache.get(k), int), path, f"{where}: missing {k}")
-    if all(isinstance(cache.get(k), int) for k in CACHE_INT_KEYS):
-        require(cache["lookups"] == cache["hits"] + cache["misses"], path,
-                f"{where}: lookups ({cache['lookups']}) != hits + misses "
-                f"({cache['hits']} + {cache['misses']})")
-        require(cache["prefetch_useful"] <= cache["prefetch_issued"], path,
-                f"{where}: prefetch_useful ({cache['prefetch_useful']}) > "
-                f"prefetch_issued ({cache['prefetch_issued']})")
-        for k in CACHE_INT_KEYS:
-            require(cache[k] >= 0, path, f"{where}: {k} is negative")
-
-
-# The optional "io_tail" section (fs/graph.hpp TailReport): emitted by both
-# h4d-metrics-v1 and h4d-jobs-v1 exports when the tail-tolerance layer
-# (hedged reads / adaptive deadlines, src/io/tail.hpp) was attached.
+# The optional "io_tail" section (fs/graph.hpp TailReport): emitted by
+# h4d-metrics-v1 exports when the tail-tolerance layer (hedged reads /
+# adaptive deadlines, src/io/tail.hpp) was attached.
 TAIL_INT_KEYS = (
     "hedge_max_inflight",
     "reads",
@@ -366,135 +319,8 @@ def check_metrics_object(doc: object, path: str, where: str = "") -> None:
         require(ex.get("chunks_quarantined") == len(ex.get("quarantined") or []),
                 path, f"{where}: chunks_quarantined != len(quarantined)")
 
-    if "cache" in doc:
-        check_cache_object(doc.get("cache"), path, f"{where}cache")
     if "io_tail" in doc:
         check_tail_object(doc.get("io_tail"), path, f"{where}io_tail")
-
-
-# The "jobs" counter section of an h4d-jobs-v1 export (svc/job_manager.hpp
-# ServiceCounters). Missing keys mean the C++ export drifted.
-JOBS_COUNTER_KEYS = (
-    "submitted",
-    "admitted",
-    "completed",
-    "rejected",
-    "rejected_queue_full",
-    "rejected_quota",
-    "rejected_deadline",
-    "shed",
-    "failed",
-    "retried",
-    "deadline_missed",
-    "cancelled",
-    "degraded",
-)
-
-JOB_TERMINAL_STATES = ("completed", "rejected", "shed", "failed")
-JOB_STATES = ("pending", "running") + JOB_TERMINAL_STATES
-JOB_REJECT_REASONS = ("none", "queue_full", "quota_exceeded",
-                      "deadline_infeasible")
-
-
-def check_jobs_object(doc: dict, path: str) -> None:
-    """h4d-jobs-v1: the multi-tenant service export."""
-    c = doc.get("jobs")
-    if not require(isinstance(c, dict), path, "jobs: missing counter object"):
-        return
-    for k in JOBS_COUNTER_KEYS:
-        require(isinstance(c.get(k), int), path, f"jobs.{k} missing or not int")
-    if all(isinstance(c.get(k), int) for k in JOBS_COUNTER_KEYS):
-        # The accounting identity: every submitted job terminated in exactly
-        # one of the four terminal states (only true at quiescence, which is
-        # when the CLI exports).
-        terminal = c["completed"] + c["rejected"] + c["shed"] + c["failed"]
-        require(c["submitted"] == terminal, path,
-                f"jobs: accounting identity violated (submitted {c['submitted']} "
-                f"!= completed+rejected+shed+failed {terminal})")
-        typed = (c["rejected_queue_full"] + c["rejected_quota"] +
-                 c["rejected_deadline"])
-        require(c["rejected"] == typed, path,
-                f"jobs: rejected ({c['rejected']}) != sum of typed rejections "
-                f"({typed})")
-        require(c["admitted"] == c["submitted"] - c["rejected"], path,
-                "jobs: admitted != submitted - rejected")
-
-    tenants = doc.get("tenants")
-    if require(isinstance(tenants, list), path, "tenants: not an array"):
-        tenant_submitted = 0
-        for i, t in enumerate(tenants):
-            w = f"tenants[{i}]"
-            if not require(isinstance(t, dict), path, f"{w}: not an object"):
-                continue
-            require(isinstance(t.get("tenant"), str), path, f"{w}: missing tenant")
-            for k in ("submitted", "completed", "rejected", "shed", "failed"):
-                require(isinstance(t.get(k), int), path, f"{w}: missing {k}")
-            require(isinstance(t.get("weight"), (int, float)), path,
-                    f"{w}: missing weight")
-            for k in ("cache_hits", "cache_misses", "cache_bytes_served",
-                      "cache_resident_bytes"):
-                require(isinstance(t.get(k), int), path, f"{w}: missing {k}")
-            tenant_submitted += t.get("submitted", 0) or 0
-        if isinstance(c.get("submitted"), int):
-            require(tenant_submitted == c["submitted"], path,
-                    f"tenants: submitted sums to {tenant_submitted}, "
-                    f"counters say {c['submitted']}")
-
-    check_meter(doc.get("meter"), path, "meter")
-    ex = doc.get("exec")
-    if require(isinstance(ex, dict), path, "exec: missing object"):
-        for k in EXECUTION_COUNTER_KEYS:
-            require(isinstance(ex.get(k), int), path, f"exec.{k} missing")
-        for k in ("queue_stalled_pushes", "queue_max_depth"):
-            require(isinstance(ex.get(k), int), path, f"exec.{k} missing")
-        require(isinstance(ex.get("queue_stall_seconds"), (int, float)), path,
-                "exec.queue_stall_seconds missing")
-
-    if "cache" in doc:
-        check_cache_object(doc.get("cache"), path, "cache")
-        # The shared cache serves every tenant: the per-tenant demand rows
-        # must sum to (at most) the global counters — "at most" because
-        # jobs that ran with a private cache (fault drills) are folded into
-        # the global meter but not the shared cache's tenant rows.
-        cache = doc.get("cache")
-        if isinstance(cache, dict) and isinstance(tenants, list):
-            for key, tkey in (("hits", "cache_hits"), ("misses", "cache_misses"),
-                              ("bytes_served_cache", "cache_bytes_served")):
-                total = sum(t.get(tkey, 0) for t in tenants
-                            if isinstance(t, dict) and isinstance(t.get(tkey), int))
-                if isinstance(cache.get(key), int):
-                    require(total <= cache[key], path,
-                            f"cache: tenant {tkey} sums to {total}, exceeds "
-                            f"global {key} {cache[key]}")
-
-    if "io_tail" in doc:
-        check_tail_object(doc.get("io_tail"), path, "io_tail")
-
-    per_job = doc.get("per_job")
-    if not require(isinstance(per_job, list), path, "per_job: not an array"):
-        return
-    state_counts = {s: 0 for s in JOB_STATES}
-    for i, j in enumerate(per_job):
-        w = f"per_job[{i}]"
-        if not require(isinstance(j, dict), path, f"{w}: not an object"):
-            continue
-        require(isinstance(j.get("id"), int), path, f"{w}: missing id")
-        require(isinstance(j.get("tenant"), str), path, f"{w}: missing tenant")
-        state = j.get("state")
-        if require(state in JOB_STATES, path, f"{w}: invalid state {state!r}"):
-            require(state in JOB_TERMINAL_STATES, path,
-                    f"{w}: non-terminal state {state!r} in a quiescent export")
-            state_counts[state] += 1
-        require(j.get("reject_reason") in JOB_REJECT_REASONS, path,
-                f"{w}: invalid reject_reason {j.get('reject_reason')!r}")
-        require(isinstance(j.get("attempts"), int), path, f"{w}: missing attempts")
-    if isinstance(c, dict):
-        for state in JOB_TERMINAL_STATES:
-            want = c.get(state)
-            if isinstance(want, int):
-                require(state_counts[state] == want, path,
-                        f"per_job: {state_counts[state]} rows in state {state}, "
-                        f"counters say {want}")
 
 
 def check_metrics_file(path: str) -> None:
@@ -518,8 +344,6 @@ def check_metrics_file(path: str) -> None:
                         check_metrics_object(m, path, f"runs[{i}].")
     elif schema == "h4d-metrics-v1":
         check_metrics_object(doc, path)
-    elif schema == "h4d-jobs-v1":
-        check_jobs_object(doc, path)
     else:
         err(path, f"unknown schema {schema!r}")
 
