@@ -590,7 +590,9 @@ int usage(std::ostream& err) {
          "  --checkpoint FILE   append-only fsync'd manifest of completed\n"
          "                      chunks, written as output is persisted\n"
          "  --resume on|off     prune chunks the --checkpoint manifest already\n"
-         "                      records as complete, then continue the run\n"
+         "                      records as complete; analyze and simulate keep\n"
+         "                      maps in memory, so they fail (exit 1) when the\n"
+         "                      manifest records any finished chunk\n"
          "  --sim-failures SPEC simulate seeded copy crashes (simulate only);\n"
          "                      comma-separated k=v among seed, crash, delay,\n"
          "                      max_restarts, poison, policy\n"

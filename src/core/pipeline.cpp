@@ -22,6 +22,15 @@ std::vector<int> first_node(const std::vector<int>& nodes) {
 
 }  // namespace
 
+ResumeError::ResumeError(const std::filesystem::path& manifest_path, std::int64_t chunks)
+    : std::runtime_error(
+          "checkpoint manifest " + manifest_path.string() + " records " +
+          std::to_string(chunks) +
+          " finished chunk(s) that this run would skip, but its maps are assembled in "
+          "memory and would lack them; rerun without --resume"),
+      manifest(manifest_path),
+      pruned(chunks) {}
+
 filters::ParamsPtr make_params(const PipelineConfig& config) {
   filters::PipelineParams p;
   p.dataset_root = config.dataset_root;
@@ -56,6 +65,9 @@ fs::FilterGraph build_pipeline(const PipelineConfig& config, filters::ParamsPtr 
   }
   if (config.output == OutputMode::Collect && !collected) {
     throw std::invalid_argument("build_pipeline: Collect output needs a CollectedResults");
+  }
+  if (config.output != OutputMode::Unstitched && params->chunks_resumed > 0) {
+    throw ResumeError(params->checkpoint_path, params->chunks_resumed);
   }
 
   fs::FilterGraph g;

@@ -2,8 +2,10 @@
 // a declarative configuration.
 #pragma once
 
+#include <cstdint>
 #include <filesystem>
 #include <memory>
+#include <stdexcept>
 
 #include "filters/output_filters.hpp"
 #include "filters/params.hpp"
@@ -81,6 +83,17 @@ struct PipelineConfig {
   io::TailConfig tail;
 };
 
+/// A resume that would prune finished chunks from a run whose output is
+/// built from assembled maps (Collect or Images). Those chunks' values are
+/// not reloaded, so the maps would silently lack them; only Unstitched
+/// output keeps finished chunks on disk.
+class ResumeError : public std::runtime_error {
+ public:
+  ResumeError(const std::filesystem::path& manifest_path, std::int64_t chunks);
+  std::filesystem::path manifest;
+  std::int64_t pruned;
+};
+
 /// Build the filter graph for a configuration. When `collected` is non-null
 /// and output == Collect, assembled maps land there after execution.
 fs::FilterGraph build_pipeline(const PipelineConfig& config,
@@ -88,7 +101,8 @@ fs::FilterGraph build_pipeline(const PipelineConfig& config,
 
 /// Same, with a caller-provided parameter block (from make_params). Lets the
 /// caller keep a handle on the run's shared state — notably the fault-report
-/// sink filled in during execution.
+/// sink filled in during execution. Throws ResumeError when `params` pruned
+/// resumed chunks and the output is not Unstitched.
 fs::FilterGraph build_pipeline(const PipelineConfig& config, filters::ParamsPtr params,
                                std::shared_ptr<filters::CollectedResults> collected);
 

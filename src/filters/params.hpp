@@ -185,8 +185,9 @@ struct PipelineParams {
     for (const Vec4& dir : engine.effective_directions()) {
       for (int d = 0; d < kDims; ++d) s << (d == 0 ? '/' : ',') << dir[d];
     }
-    s << '/' << static_cast<int>(engine.direction_mode) << '/'
-      << static_cast<int>(engine.representation) << '/' << static_cast<int>(engine.zero_policy);
+    // "/0" is the removed direction mode's Pooled value: old manifests still resume.
+    s << "/0/" << static_cast<int>(engine.representation) << '/'
+      << static_cast<int>(engine.zero_policy);
     const std::string canon = s.str();
     std::ostringstream hex;
     hex << std::hex << io::crc32(canon.data(), canon.size());

@@ -160,17 +160,12 @@ class ThreadedContext final : public FilterContext {
   void deliver(EdgeRuntime& e, const BufferPtr& buffer) {
     const int n = static_cast<int>(e.consumers.size());
     switch (e.spec->policy) {
-      case Policy::Broadcast:
-        // Re-routing a broadcast buffer would double-deliver; a dead copy's
-        // share is inventoried as lost instead.
-        for (CopyRuntime* c : e.consumers) deliver_to(e, c, buffer, false);
-        return;
       case Policy::RoundRobin: {
         const auto k = e.rr_next.fetch_add(1, std::memory_order_relaxed);
         deliver_to(e,
                    e.consumers[static_cast<std::size_t>(
                        k % static_cast<std::uint64_t>(n))],
-                   buffer, true);
+                   buffer);
         return;
       }
       case Policy::DemandDriven: {
@@ -179,7 +174,7 @@ class ThreadedContext final : public FilterContext {
         CopyRuntime* best = least_loaded_live(
             e.consumers, e.rr_next.fetch_add(1, std::memory_order_relaxed), nullptr, false);
         if (best == nullptr) best = e.consumers[0];  // all dead: recorded lost
-        deliver_to(e, best, buffer, true);
+        deliver_to(e, best, buffer);
         return;
       }
       case Policy::Explicit: {
@@ -188,7 +183,7 @@ class ThreadedContext final : public FilterContext {
           throw std::out_of_range("explicit route returned copy " + std::to_string(k) +
                                   " of " + std::to_string(n));
         }
-        deliver_to(e, e.consumers[static_cast<std::size_t>(k)], buffer, true);
+        deliver_to(e, e.consumers[static_cast<std::size_t>(k)], buffer);
         return;
       }
     }
@@ -198,8 +193,7 @@ class ThreadedContext final : public FilterContext {
   /// declared dead (its inbox is closed). A push that fails because the run
   /// aborted throws PipelineAborted; a buffer with no live taker is counted
   /// in the damage inventory.
-  void deliver_to(EdgeRuntime& e, CopyRuntime* dst, const BufferPtr& buffer,
-                  bool reroute) {
+  void deliver_to(EdgeRuntime& e, CopyRuntime* dst, const BufferPtr& buffer) {
     const int port = e.spec->port;
     const auto push_start = Clock::now();
     CopyRuntime* target = dst;
@@ -232,7 +226,6 @@ class ThreadedContext final : public FilterContext {
         // happens-before the close that failed this push, so the retry loop
         // below will skip it.
       }
-      if (!reroute) break;
       target = least_loaded_live(
           e.consumers, e.rr_next.fetch_add(1, std::memory_order_relaxed), target, false);
     }

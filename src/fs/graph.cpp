@@ -9,7 +9,6 @@ std::string_view policy_name(Policy p) {
   switch (p) {
     case Policy::RoundRobin: return "round-robin";
     case Policy::DemandDriven: return "demand-driven";
-    case Policy::Broadcast: return "broadcast";
     case Policy::Explicit: return "explicit";
   }
   return "?";

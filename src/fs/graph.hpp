@@ -17,7 +17,6 @@ namespace h4d::fs {
 enum class Policy {
   RoundRobin,    ///< each copy receives roughly the same number of buffers
   DemandDriven,  ///< route to the copy that is draining fastest (least loaded)
-  Broadcast,     ///< every copy receives every buffer
   Explicit,      ///< user routing function decides the copy (explicit copies)
 };
 

@@ -15,32 +15,13 @@ namespace h4d::haralick {
 ///
 /// Cyclic Jacobi; converges quadratically, plenty for the Ng <= 256 matrices
 /// this library produces. Throws std::invalid_argument on size mismatch.
-/// Retained as the slow-but-simple oracle the fast path is tested against.
+/// Retained as the slow-but-simple oracle symmetric_lambda2 is tested against.
 std::vector<double> symmetric_eigenvalues(std::vector<double> a, int n,
                                           int max_sweeps = 64, double tol = 1e-12);
 
-/// Same contract as symmetric_eigenvalues, but O(n^3) with a small constant:
-/// Householder reduction to tridiagonal form followed by implicit-shift QL
-/// iteration (eigenvalues only, no eigenvector accumulation). ~25x faster
-/// than the Jacobi path on the 32x32 matrices f14 produces at Ng=32.
-///
-/// Convergence: the QL iteration is capped at 50 sweeps per eigenvalue —
-/// real symmetric input needs 2-3, so the cap only trips on pathological
-/// (NaN/Inf-contaminated) matrices. This overload assumes convergence and
-/// returns whatever the iteration reached; use the scratch-reusing overload
-/// when the caller (e.g. a test oracle comparison) must know.
-std::vector<double> symmetric_eigenvalues_fast(std::vector<double> a, int n);
-
-/// Scratch-reusing variant of symmetric_eigenvalues_fast for hot loops: `d`
-/// and `e` are resized to n and d holds the descending eigenvalues on
-/// return. Returns true when every eigenvalue converged within the QL
-/// iteration cap; false means d holds a best-effort (unconverged) spectrum.
-bool symmetric_eigenvalues_fast(std::vector<double>& a, int n, std::vector<double>& d,
-                                std::vector<double>& e);
-
 /// Second-largest eigenvalue only — the quantity f14 actually needs.
 /// Householder tridiagonalization followed by Sturm-count bisection on the
-/// tridiagonal form; skips the full QL spectrum computation. `a` (row-major,
+/// tridiagonal form; never computes the full spectrum. `a` (row-major,
 /// destroyed) and the `d`/`e` scratch vectors are caller-owned so hot loops
 /// can reuse them. Accurate to ~1e-13 absolute. Returns 0.0 for n < 2.
 double symmetric_lambda2(std::vector<double>& a, int n, std::vector<double>& d,

@@ -1,6 +1,5 @@
 #include "haralick/roi_engine.hpp"
 
-#include <algorithm>
 #include <optional>
 #include <stdexcept>
 
@@ -63,19 +62,9 @@ std::vector<FeatureBlock> analyze_chunk(Vol4View<const Level> chunk_view,
   KernelScratch& ks = *scratch;
 
   // Per-ROI matrix + feature evaluation through the kernel: accumulate the
-  // tile, then the fused pass reads its entries and sweeps them — the same
-  // bits for either representation, which only decides the units `wc` is
-  // credited in (property-tested in test_kernel).
-  const auto kernel_features_of_roi = [&](const Region4& roi,
-                                          const std::vector<Vec4>& dv) {
-    const std::int64_t updates = ks.accumulate(chunk_view, roi, dv);
-    if (wc != nullptr) {
-      wc->glcm_pair_updates += updates;
-      wc->matrices_built += 1;
-    }
-    return ks.features_fused(cfg.features, wc, nullptr, cfg.representation, cfg.zero_policy);
-  };
-
+  // tile over every direction, then the fused pass reads its entries and
+  // sweeps them — the same bits for either representation, which only
+  // decides the units `wc` is credited in (property-tested in test_kernel).
   std::int64_t k = 0;
   for (const Vec4& origin : raster(owned_origins)) {
     // ROI in chunk-local coordinates.
@@ -85,38 +74,13 @@ std::vector<FeatureBlock> analyze_chunk(Vol4View<const Level> chunk_view,
                              " has ROI escaping chunk " + chunk_region.str());
     }
 
-    FeatureVector fv;
-    if (cfg.direction_mode == DirectionMode::Pooled) {
-      fv = kernel_features_of_roi(roi, dirs);
-    } else {
-      // One matrix per direction; aggregate the per-direction features.
-      FeatureVector lo, hi, sum;
-      bool first = true;
-      std::vector<Vec4> one_dir(1);
-      for (const Vec4& d : dirs) {
-        one_dir[0] = d;
-        const FeatureVector f = kernel_features_of_roi(roi, one_dir);
-        for (int s = 0; s < kNumFeatures; ++s) {
-          const auto idx = static_cast<std::size_t>(s);
-          sum.value[idx] += f.value[idx];
-          if (first) {
-            lo.value[idx] = f.value[idx];
-            hi.value[idx] = f.value[idx];
-          } else {
-            lo.value[idx] = std::min(lo.value[idx], f.value[idx]);
-            hi.value[idx] = std::max(hi.value[idx], f.value[idx]);
-          }
-        }
-        first = false;
-      }
-      const auto ndirs = static_cast<double>(dirs.size());
-      for (int s = 0; s < kNumFeatures; ++s) {
-        const auto idx = static_cast<std::size_t>(s);
-        fv.value[idx] = cfg.direction_mode == DirectionMode::MeanOverDirections
-                            ? sum.value[idx] / ndirs
-                            : hi.value[idx] - lo.value[idx];
-      }
+    const std::int64_t updates = ks.accumulate(chunk_view, roi, dirs);
+    if (wc != nullptr) {
+      wc->glcm_pair_updates += updates;
+      wc->matrices_built += 1;
     }
+    const FeatureVector fv =
+        ks.features_fused(cfg.features, wc, nullptr, cfg.representation, cfg.zero_policy);
     for (std::size_t s = 0; s < selected.size(); ++s) {
       blocks[s].values[static_cast<std::size_t>(k)] = static_cast<float>(fv[selected[s]]);
     }

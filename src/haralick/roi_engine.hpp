@@ -20,14 +20,6 @@
 
 namespace h4d::haralick {
 
-/// How the direction set is combined per ROI.
-///
-/// Pooled accumulates every direction into one matrix (the pipeline
-/// default). Haralick's original methodology computes the features per
-/// direction and reports their mean (rotation-invariant value) or range
-/// (anisotropy measure) over directions.
-enum class DirectionMode { Pooled, MeanOverDirections, RangeOverDirections };
-
 /// Parameters of one texture analysis run.
 struct EngineConfig {
   Vec4 roi_dims{7, 7, 3, 3};
@@ -38,10 +30,6 @@ struct EngineConfig {
   /// values are the same bits under every representation and zero policy.
   Representation representation = Representation::Full;
   ZeroPolicy zero_policy = ZeroPolicy::SkipZeros;
-
-  /// Per-direction aggregation. Non-pooled modes build one matrix per
-  /// direction (|dirs| times the construction work).
-  DirectionMode direction_mode = DirectionMode::Pooled;
 
   /// Directions, with the default applied.
   std::vector<Vec4> effective_directions() const;

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <array>
+#include <charconv>
 #include <chrono>
 #include <cmath>
 #include <sstream>
@@ -39,6 +40,18 @@ std::int64_t slice_key(std::int64_t t, std::int64_t z) {
   return (t << 32) ^ z;
 }
 
+/// A number that fills the whole token: no sign on an unsigned type, no
+/// leading blanks, no trailing text, and in range for T. Anything else throws
+/// std::invalid_argument, which parse() turns into its typed value error.
+template <typename T>
+T parse_number(const std::string& token) {
+  T v{};
+  const char* end = token.data() + token.size();
+  const auto [ptr, ec] = std::from_chars(token.data(), end, v);
+  if (ec != std::errc{} || ptr != end) throw std::invalid_argument(token);
+  return v;
+}
+
 constexpr std::uint64_t kSaltOpen = 0xA11C0DE5;
 constexpr std::uint64_t kSaltShortRead = 0xB2EAD5;
 constexpr std::uint64_t kSaltStall = 0xC0FFEE;
@@ -55,6 +68,11 @@ std::uint32_t crc32(const void* data, std::size_t n, std::uint32_t crc) {
   return ~crc;
 }
 
+FaultSpecError::FaultSpecError(const std::string& spec_key, const std::string& spec_value)
+    : std::runtime_error("bad fault spec value for " + spec_key + ": " + spec_value),
+      key(spec_key),
+      value(spec_value) {}
+
 FaultConfig FaultConfig::parse(const std::string& spec) {
   FaultConfig cfg;
   if (spec.empty() || spec == "off") return cfg;
@@ -70,30 +88,32 @@ FaultConfig FaultConfig::parse(const std::string& spec) {
     // Every numeric value is domain-checked: a NaN or negative duration /
     // multiplier / budget would silently disable caps or poison the
     // deterministic schedule, so it is the same typed error as a non-number.
-    const auto bad_value = [&]() -> std::runtime_error {
-      return std::runtime_error("bad fault spec value for " + key + ": " + value);
-    };
+    const auto bad_value = [&] { return FaultSpecError(key, value); };
     const auto non_negative = [&](double v) {
-      if (std::isnan(v) || v < 0.0) throw bad_value();
+      if (!std::isfinite(v) || v < 0.0) throw bad_value();
+      return v;
+    };
+    const auto probability = [&](double v) {
+      if (std::isnan(v) || v < 0.0 || v > 1.0) throw bad_value();
       return v;
     };
     try {
       if (key == "seed") {
-        cfg.seed = std::stoull(value);
+        cfg.seed = parse_number<std::uint64_t>(value);
       } else if (key == "open") {
-        cfg.p_fail_open = std::stod(value);
+        cfg.p_fail_open = probability(parse_number<double>(value));
       } else if (key == "read") {
-        cfg.p_short_read = std::stod(value);
+        cfg.p_short_read = probability(parse_number<double>(value));
       } else if (key == "corrupt") {
-        cfg.p_corrupt = std::stod(value);
+        cfg.p_corrupt = probability(parse_number<double>(value));
       } else if (key == "stall") {
-        cfg.p_stall = std::stod(value);
+        cfg.p_stall = probability(parse_number<double>(value));
       } else if (key == "stall_ms") {
-        cfg.stall_ms = non_negative(std::stod(value));
+        cfg.stall_ms = non_negative(parse_number<double>(value));
       } else if (key == "stall_cap") {
-        cfg.stall_cap_ms = non_negative(std::stod(value));
+        cfg.stall_cap_ms = non_negative(parse_number<double>(value));
       } else if (key == "max_transient") {
-        cfg.max_transient_per_slice = std::stoi(value);
+        cfg.max_transient_per_slice = parse_number<int>(value);
         if (cfg.max_transient_per_slice < 0) throw bad_value();
       } else if (key == "stall_dist") {
         if (value == "fixed") {
@@ -104,7 +124,7 @@ FaultConfig FaultConfig::parse(const std::string& spec) {
           throw bad_value();
         }
       } else if (key == "pareto_alpha") {
-        cfg.pareto_alpha = std::stod(value);
+        cfg.pareto_alpha = parse_number<double>(value);
         if (std::isnan(cfg.pareto_alpha) || cfg.pareto_alpha <= 0.0) throw bad_value();
       } else if (key == "slow_nodes") {
         // node:multiplier pairs separated by ';' (the spec splits on ',').
@@ -113,8 +133,8 @@ FaultConfig FaultConfig::parse(const std::string& spec) {
         while (std::getline(pairs, pair, ';')) {
           const auto colon = pair.find(':');
           if (colon == std::string::npos) throw bad_value();
-          const int node = std::stoi(pair.substr(0, colon));
-          const double mult = std::stod(pair.substr(colon + 1));
+          const int node = parse_number<int>(pair.substr(0, colon));
+          const double mult = parse_number<double>(pair.substr(colon + 1));
           if (node < 0 || std::isnan(mult) || mult < 0.0) throw bad_value();
           cfg.slow_nodes[node] = mult;
         }
@@ -123,11 +143,6 @@ FaultConfig FaultConfig::parse(const std::string& spec) {
       }
     } catch (const std::invalid_argument&) {
       throw bad_value();
-    }
-  }
-  for (const double p : {cfg.p_fail_open, cfg.p_short_read, cfg.p_corrupt, cfg.p_stall}) {
-    if (std::isnan(p) || p < 0.0 || p > 1.0) {
-      throw std::runtime_error("fault probability outside [0,1]");
     }
   }
   return cfg;

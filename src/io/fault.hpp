@@ -24,6 +24,7 @@
 #include <limits>
 #include <map>
 #include <mutex>
+#include <stdexcept>
 #include <string>
 #include <unordered_map>
 
@@ -42,6 +43,15 @@ enum class StallDist {
 
 /// Configuration of the injector. All probabilities are in [0, 1];
 /// a default-constructed config injects nothing.
+/// A fault spec value that does not parse, is out of its domain, or leaves
+/// trailing text in its token; names the key and the value.
+class FaultSpecError : public std::runtime_error {
+ public:
+  FaultSpecError(const std::string& spec_key, const std::string& spec_value);
+  std::string key;
+  std::string value;
+};
+
 struct FaultConfig {
   std::uint64_t seed = 0;
   double p_fail_open = 0.0;   ///< per attempt: open() fails
@@ -76,9 +86,11 @@ struct FaultConfig {
   /// stall_dist (fixed|pareto), pareto_alpha, slow_nodes (node:mult pairs
   /// separated by ';', e.g. slow_nodes=0:16;2:4).
   /// Example: "seed=7,open=0.05,read=0.02,corrupt=0.01". Empty => disabled.
-  /// Numeric values are validated: probabilities must lie in [0,1], and
-  /// stall_ms / stall_cap / pareto_alpha / slow-node multipliers /
-  /// max_transient must be finite and non-negative.
+  /// Numeric values are validated: each must fill its whole token (no
+  /// trailing text, no sign on seed, in range for its type), probabilities
+  /// must lie in [0,1], and stall_ms / stall_cap / pareto_alpha / slow-node
+  /// multipliers / max_transient must be finite and non-negative. A value
+  /// that fails throws FaultSpecError.
   static FaultConfig parse(const std::string& spec);
   std::string str() const;
 };

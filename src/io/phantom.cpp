@@ -144,29 +144,4 @@ Phantom generate_phantom(const PhantomConfig& cfg) {
   return out;
 }
 
-Volume4<std::uint8_t> tumor_mask(const Vec4& dims, const std::vector<Tumor>& tumors) {
-  Volume4<std::uint8_t> mask(dims, 0);
-  for (std::int64_t t = 0; t < dims[3]; ++t) {
-    for (std::int64_t z = 0; z < dims[2]; ++z) {
-      for (std::int64_t y = 0; y < dims[1]; ++y) {
-        for (std::int64_t x = 0; x < dims[0]; ++x) {
-          for (const Tumor& tu : tumors) {
-            const double ex = static_cast<double>(x - tu.center[0]) /
-                              static_cast<double>(tu.radii[0]);
-            const double ey = static_cast<double>(y - tu.center[1]) /
-                              static_cast<double>(tu.radii[1]);
-            const double ez = static_cast<double>(z - tu.center[2]) /
-                              static_cast<double>(tu.radii[2]);
-            if (ex * ex + ey * ey + ez * ez < 1.0) {
-              mask.at(x, y, z, t) = 1;
-              break;
-            }
-          }
-        }
-      }
-    }
-  }
-  return mask;
-}
-
 }  // namespace h4d::io

@@ -52,8 +52,4 @@ double enhancement_curve(double t, double uptake_rate, double washout_rate);
 /// Generate the phantom.
 Phantom generate_phantom(const PhantomConfig& cfg);
 
-/// Ground-truth lesion mask: voxel != 0 iff it lies inside any tumor
-/// ellipsoid (time-independent — lesions do not move between timesteps).
-Volume4<std::uint8_t> tumor_mask(const Vec4& dims, const std::vector<Tumor>& tumors);
-
 }  // namespace h4d::io

@@ -47,31 +47,6 @@ class Quantizer {
   double scale_;
 };
 
-/// Histogram-equalizing requantizer: thresholds are placed so each output
-/// level receives an approximately equal share of the sampled intensity
-/// distribution. Compared to linear min/max quantization this spreads
-/// co-occurrence mass evenly over the Ng levels, which stabilizes Haralick
-/// features under intensity-scale drift (e.g. scanner gain between visits).
-class EqualizedQuantizer {
- public:
-  /// Build from sampled intensities (need not be the full dataset).
-  /// Thresholds t_1 <= ... <= t_{Ng-1}; level(v) = #\{ t_i < v \}, so a
-  /// constant distribution collapses onto level 0.
-  EqualizedQuantizer(std::vector<double> samples, int num_levels);
-
-  int num_levels() const { return ng_; }
-  const std::vector<double>& thresholds() const { return thresholds_; }
-
-  Level operator()(double v) const {
-    const auto it = std::lower_bound(thresholds_.begin(), thresholds_.end(), v);
-    return static_cast<Level>(it - thresholds_.begin());
-  }
-
- private:
-  int ng_;
-  std::vector<double> thresholds_;  // size Ng-1, non-decreasing
-};
-
 /// Min/max over a view.
 template <typename T>
 std::pair<double, double> min_max(Vol4View<const T> v) {

@@ -458,11 +458,6 @@ class Simulator {
       if (e.spec->from != from->group || e.spec->port != port) continue;
       const int eport = e.spec->port;
       switch (e.spec->policy) {
-        case Policy::Broadcast:
-          for (SimCopy* dst : e.consumers) {
-            release = std::max(release, deliver(from, dst, eport, buffer, when, false));
-          }
-          break;
         case Policy::RoundRobin: {
           SimCopy* dst = e.consumers[static_cast<std::size_t>(
               e.rr_next++ % static_cast<std::uint64_t>(e.consumers.size()))];

@@ -346,6 +346,20 @@ TEST_F(CheckpointFixture, ResumeOnRaggedGridIsByteIdentical) {
   cfg2.resume = true;
   auto paramsB = core::make_params(cfg2);
   EXPECT_EQ(paramsB->chunks_resumed, static_cast<std::int64_t>(K));
+  // The same resume into maps assembled in memory would lack the K pruned
+  // chunks, so the builder refuses it.
+  {
+    core::PipelineConfig collect = cfg2;
+    collect.output = core::OutputMode::Collect;
+    try {
+      (void)core::build_pipeline(collect, paramsB,
+                                 std::make_shared<filters::CollectedResults>());
+      ADD_FAILURE() << "a resume into Collect output was not refused";
+    } catch (const core::ResumeError& e) {
+      EXPECT_EQ(e.manifest, ckB);
+      EXPECT_EQ(e.pruned, static_cast<std::int64_t>(K));
+    }
+  }
   fs::run_threaded(core::build_pipeline(cfg2, paramsB, nullptr));
   EXPECT_EQ(ChunkManifest::load(ckB).size(), all_ids.size());
   const auto resumed = assemble(outB, origins);
@@ -394,8 +408,6 @@ TEST_F(CheckpointFixture, ResumeRefusesManifestOfOtherEngineConfig) {
   expect_refused("axis dirs", [](EngineConfig& e) {
     e.directions = axis_directions(ActiveDims::all4());
   });
-  expect_refused("direction mode",
-                 [](EngineConfig& e) { e.direction_mode = DirectionMode::MeanOverDirections; });
   expect_refused("representation",
                  [](EngineConfig& e) { e.representation = Representation::Sparse; });
   expect_refused("zero policy", [](EngineConfig& e) { e.zero_policy = ZeroPolicy::VisitAll; });

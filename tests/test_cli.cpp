@@ -198,6 +198,11 @@ TEST_F(CliTest, BadOptionValueReportsError) {
         << stderr_text();
     EXPECT_EQ(stdout_text(), "") << flag;
   }
+  // A --faults value must fill its whole token.
+  EXPECT_EQ(invoke({"analyze", ds, "--faults", "corrupt=0.5x,seed=3"}), 1);
+  EXPECT_NE(stderr_text().find("bad fault spec value for corrupt: 0.5x"), std::string::npos)
+      << stderr_text();
+  EXPECT_EQ(stdout_text(), "");
 }
 
 // The hex digest of a run's `maps crc32` summary line.
@@ -226,6 +231,34 @@ TEST_F(CliTest, MapsDigestAgreesAcrossVariantsReprsAndExecutors) {
   const std::string coarser = maps_digest(stdout_text());
   EXPECT_EQ(coarser.size(), 8u) << stdout_text();
   EXPECT_NE(coarser, digest);
+}
+
+TEST_F(CliTest, ResumeThatWouldSkipFinishedChunksFails) {
+  // analyze and simulate assemble their maps in memory, so a resume that
+  // prunes finished chunks would print and write maps that lack them. It
+  // must fail naming the manifest and the pruned count, not exit 0.
+  const std::string ds = (dir_ / "ds").string();
+  const std::string ckpt = (dir_ / "run.ckpt").string();
+  ASSERT_EQ(invoke({"phantom", "--out", ds, "--dims", "16,14,5,4", "--nodes", "2"}), 0);
+  // A resume against a manifest that records nothing prunes nothing.
+  ASSERT_EQ(invoke({"analyze", ds, "--chunk", "12,12,4,4", "--checkpoint", ckpt, "--resume",
+                    "on"}),
+            0)
+      << stderr_text();
+  const std::string digest = maps_digest(stdout_text());
+  ASSERT_EQ(invoke({"analyze", ds, "--chunk", "12,12,4,4", "--checkpoint", ckpt}), 0)
+      << stderr_text();
+  EXPECT_EQ(maps_digest(stdout_text()), digest);
+  for (const std::string verb : {"analyze", "simulate"}) {
+    EXPECT_EQ(invoke({verb, ds, "--chunk", "12,12,4,4", "--checkpoint", ckpt, "--resume", "on"}),
+              1)
+        << verb;
+    EXPECT_NE(stderr_text().find("checkpoint manifest " + ckpt + " records 8 finished chunk"),
+              std::string::npos)
+        << verb << ": " << stderr_text();
+    EXPECT_EQ(stdout_text().find("maps crc32"), std::string::npos) << verb << ": "
+                                                                    << stdout_text();
+  }
 }
 
 TEST_F(CliTest, InfoOnMissingDatasetFails) {

@@ -82,19 +82,6 @@ TEST(ThreadedExecutor, RoundRobinSpreadsEvenly) {
   }
 }
 
-TEST(ThreadedExecutor, BroadcastDuplicatesToEveryCopy) {
-  auto state = std::make_shared<SinkState>();
-  FilterGraph g;
-  const int src =
-      g.add_filter({"source", [] { return std::make_unique<NumberSource>(10); }, 1, {}});
-  const int sink = g.add_filter(
-      {"sink", [state] { return std::make_unique<CollectSink>(state); }, 4, {}});
-  g.connect(src, 0, sink, Policy::Broadcast);
-  run_threaded(g);
-  EXPECT_EQ(state->count(), 40u);  // every copy got all 10
-  EXPECT_EQ(state->flushes.load(), 4);
-}
-
 TEST(ThreadedExecutor, ExplicitRoutingHonored) {
   auto state = std::make_shared<SinkState>();
   FilterGraph g;

@@ -60,21 +60,40 @@ TEST(FaultConfig, ParseStallCap) {
 }
 
 // A NaN or negative duration/budget would silently disable the stall cap or
-// poison the deterministic schedule, so parse rejects them with the same
-// typed error as a non-number.
+// poison the deterministic schedule, and a value with trailing text, a sign
+// on the seed or an out-of-range number would run a schedule nobody asked
+// for, so parse rejects them all with the same typed error as a non-number,
+// naming the key and the value.
 TEST(FaultConfig, ParseRejectsNegativeAndNaNValues) {
-  for (const char* bad : {"stall_ms=-1", "stall_ms=nan", "stall_ms=x",
-                          "stall_cap=-0.5", "stall_cap=nan",
-                          "max_transient=-2", "max_transient=many"}) {
-    EXPECT_THROW(FaultConfig::parse(bad), std::runtime_error) << bad;
-  }
-  try {
-    FaultConfig::parse("stall_ms=-1");
-    FAIL() << "expected a typed parse error";
-  } catch (const std::runtime_error& e) {
-    EXPECT_NE(std::string(e.what()).find("bad fault spec value for stall_ms"),
-              std::string::npos)
-        << e.what();
+  const struct {
+    const char* spec;
+    const char* key;
+    const char* value;
+  } cases[] = {
+      {"stall_ms=-1", "stall_ms", "-1"},
+      {"stall_ms=nan", "stall_ms", "nan"},
+      {"stall_ms=inf", "stall_ms", "inf"},
+      {"stall_ms=x", "stall_ms", "x"},
+      {"stall_cap=-0.5", "stall_cap", "-0.5"},
+      {"stall_cap=nan", "stall_cap", "nan"},
+      {"max_transient=-2", "max_transient", "-2"},
+      {"max_transient=many", "max_transient", "many"},
+      {"open=2.0", "open", "2.0"},
+      {"corrupt=0.5x,seed=3", "corrupt", "0.5x"},
+      {"corrupt=0.5,seed=3abc", "seed", "3abc"},
+      {"seed=-1", "seed", "-1"},
+      {"stall_ms=1e999", "stall_ms", "1e999"},
+  };
+  for (const auto& c : cases) {
+    try {
+      FaultConfig::parse(c.spec);
+      ADD_FAILURE() << c.spec << ": expected a typed parse error";
+    } catch (const FaultSpecError& e) {
+      EXPECT_EQ(e.key, c.key) << c.spec;
+      EXPECT_EQ(e.value, c.value) << c.spec;
+      EXPECT_EQ(std::string(e.what()),
+                std::string("bad fault spec value for ") + c.key + ": " + c.value);
+    }
   }
 }
 

@@ -110,7 +110,6 @@ TEST(RunStats, AggregationHelpers) {
 TEST(PolicyNames, AllNamed) {
   EXPECT_EQ(policy_name(Policy::RoundRobin), "round-robin");
   EXPECT_EQ(policy_name(Policy::DemandDriven), "demand-driven");
-  EXPECT_EQ(policy_name(Policy::Broadcast), "broadcast");
   EXPECT_EQ(policy_name(Policy::Explicit), "explicit");
 }
 
